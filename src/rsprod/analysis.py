@@ -1,5 +1,6 @@
 """Ground-truth oracles: exhaustive weight spectra, erasure recoverability
-by rank, the peeling erasure decoder, and the double-root structural check.
+on the peeling core, the peeling erasure decoder, and the double-root
+structural check.
 
 Exhaustive enumeration walks the message space with the top digits in
 mixed-radix reflected Gray order, so each step XORs a single scalar
@@ -19,10 +20,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import CodeInstance, GridWord, encode, relabel, unrelabel
+from .codec import CodeInstance, GridWord, encode, interpolate, relabel, unrelabel
 from .field import (
     FieldCtx,
-    mat_nullspace,
     mat_rank,
     mat_solve,
     poly_add,
@@ -30,7 +30,6 @@ from .field import (
     poly_divmod,
     poly_eval,
     poly_eval_many,
-    poly_from_roots,
     poly_scale,
 )
 
@@ -341,7 +340,7 @@ def spectrum_via_dual(
     """Exact spectrum obtained by exhaustively enumerating the dual code
     and transforming; useful when the code itself is over budget."""
     ctx = code.ctx
-    dual = mat_nullspace(ctx, code.G)
+    dual = code.H
     size = ctx.order ** len(dual)
     if size > budget:
         raise BudgetExceeded(
@@ -361,9 +360,78 @@ def spectrum_via_dual(
 # ---------------------------------------------------------------------------
 
 
+def _peel_core(erased: np.ndarray, r: int) -> np.ndarray:
+    """The peeling core E' of a bool erasure grid: every row and column
+    with at least r surviving cells is cleared, repeatedly, until every
+    line that still has an erasure has fewer than r survivors.  Uses the
+    mask alone; the fixed point does not depend on the clearing order."""
+    core = erased.copy()
+    n = core.shape[0]
+    while True:
+        rows = core.sum(axis=1)
+        cols = core.sum(axis=0)
+        fix_rows = (rows > 0) & (n - rows >= r)
+        fix_cols = (cols > 0) & (n - cols >= r)
+        if not (fix_rows.any() or fix_cols.any()):
+            return core
+        core[fix_rows] = False
+        core[:, fix_cols] = False
+
+
+def _solve_core(
+    code: CodeInstance, core: np.ndarray, values: Optional[np.ndarray] = None
+) -> tuple[str, Optional[np.ndarray]]:
+    """Solve for the cells of a flat erasure core from the cells outside it.
+
+    The system with fewer unknowns is used: the parity checks
+    ``H[:, core] x = H[:, ~core] y`` in the |core| erased cells when
+    |core| < k, otherwise ``G[:, ~core]^T m = y`` in the k message symbols.
+    With ``values`` None the right-hand side is zero and only the status
+    matters ("unique" iff no nonzero codeword lives on the core).  Returns
+    mat_solve's status and, when it is "unique" and values were given, the
+    completed flat word."""
+    ctx = code.ctx
+    known = ~core
+    y = np.zeros(int(known.sum()), dtype=np.int64) if values is None else values[known]
+    if int(core.sum()) < code.k:
+        h = code.H
+        rhs = np.bitwise_xor.reduce(ctx.mul_arr(h[:, known], y), axis=1)
+        status, x = mat_solve(ctx, h[:, core], rhs)
+        if status == "unique" and values is not None:
+            word = values.copy()
+            word[core] = x
+            return status, word
+    else:
+        status, msg = mat_solve(ctx, code.G[:, known].T, y)
+        if status == "unique" and values is not None:
+            return status, encode(code, msg)
+    return status, None
+
+
 def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
-    """True iff the generator restricted to surviving coordinates keeps
-    full rank, i.e. the erasure pattern is uniquely decodable."""
+    """True iff the erasure pattern is uniquely decodable, i.e. no nonzero
+    codeword is supported inside the erased cells E.
+
+    Such a codeword is zero on every grid line with at least r survivors,
+    since each line is a Reed-Solomon word of dimension r, so it lies inside
+    the peeling core E' of the mask alone; hence E is recoverable iff E' is.
+    E' empty is recoverable and |E'| > n^2 - k is not; otherwise one rank
+    decides, on H[:, E'] when |E'| < k and on G[:, ~E'] when not.  The
+    parity-check matrix H is built lazily, once per code."""
+    if mask.n_frak != code.n_frak:
+        raise ValueError("mask size does not match the code")
+    core = _peel_core(mask.erased, code.r).reshape(-1)
+    size = int(core.sum())
+    if size == 0:
+        return True
+    if size > code.length - code.k:
+        return False
+    return _solve_core(code, core)[0] == "unique"
+
+
+def _rank_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
+    """Reference oracle: the generator restricted to the surviving
+    coordinates keeps full rank k."""
     if mask.n_frak != code.n_frak:
         raise ValueError("mask size does not match the code")
     surv = ~mask.flat()
@@ -383,18 +451,6 @@ class PeelResult:
         return self.word is not None
 
 
-def _interp_through(ctx: FieldCtx, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
-    total = np.zeros(0, dtype=np.int64)
-    ann = poly_from_roots(ctx, xs)
-    for x, y in zip(xs, ys):
-        if y == 0:
-            continue
-        quot, _ = poly_divmod(ctx, ann, np.array([x, 1], dtype=np.int64))
-        w = ctx.inv(poly_eval(ctx, quot, x))
-        total = poly_add(total, poly_scale(ctx, quot, ctx.mul(w, int(y))))
-    return total
-
-
 def _repair_line(
     ctx: FieldCtx, r: int, points: np.ndarray, values: np.ndarray, known: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -402,7 +458,7 @@ def _repair_line(
     if len(idx) < r:
         return None
     use = idx[:r]
-    coeffs = _interp_through(ctx, [int(points[i]) for i in use], [int(values[i]) for i in use])
+    coeffs = interpolate(ctx, [int(points[i]) for i in use], values[use])
     preds = poly_eval_many(ctx, coeffs, points)
     if np.any(preds[idx] != values[idx]):
         raise ValueError("interpolation mismatch on a known symbol")
@@ -411,8 +467,11 @@ def _repair_line(
 
 def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     """Iterated local repair: any grid line with at least r surviving
-    symbols is interpolated and filled; a global linear solve against the
-    generator finishes off whatever peeling leaves behind."""
+    symbols is interpolated and filled.  What peeling leaves is the peeling
+    core E' of the mask, and a global solve in its cells finishes it off,
+    on the parity checks when |E'| < k and on the generator otherwise (see
+    erasure_recoverable).  Known symbols that fit no codeword raise
+    ValueError; an ambiguous core returns no word and E' as the residual."""
     pair = code.pair
     n = code.n_frak
     if mask.n_frak != n:
@@ -442,13 +501,11 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
                     progress = True
     if not erased.any():
         return PeelResult(unrelabel(pair, GridWord(grid)), None, used_global=False)
-    flat = grid.reshape(-1)
-    surv = np.nonzero(~erased.reshape(-1))[0]
-    status, msg = mat_solve(ctx, code.G[:, surv].T, flat[surv])
+    status, full = _solve_core(code, erased.reshape(-1), grid.reshape(-1))
     if status == "inconsistent":
         raise ValueError("surviving symbols are not consistent with any codeword")
     if status == "unique":
-        return PeelResult(encode(code, msg), None, used_global=True)
+        return PeelResult(full, None, used_global=True)
     return PeelResult(None, ErasureMask(n, erased), used_global=True)
 
 

@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .degrees import DegreeProfile, degree_profile, ref_basis
-from .field import FieldCtx, poly_divmod, poly_eval, poly_eval_many, poly_from_roots
+from .field import (
+    FieldCtx,
+    mat_nullspace,
+    poly_divmod,
+    poly_eval,
+    poly_eval_many,
+    poly_from_roots,
+)
 from .linearized import LinearizedPair
 
 
@@ -49,6 +56,13 @@ class CodeInstance:
     @property
     def heavy_parities(self) -> int:
         return self.r * self.r - self.k
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """Parity-check matrix, (n^2 - k) x n^2: its rows span the dual code,
+        so a word is a codeword iff H @ word = 0.  Built on first use and
+        kept, never by build_code."""
+        return mat_nullspace(self.ctx, self.G)
 
 
 @dataclass

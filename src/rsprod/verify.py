@@ -168,7 +168,13 @@ def _check_peel_consistency(rng, trials: int = 50) -> CheckResult:
         flat = np.zeros(n2, dtype=bool)
         flat[cells] = True
         mask = analysis.ErasureMask.from_flat(4, flat)
-        expect = analysis.erasure_recoverable(code, mask)
+        expect = analysis._rank_recoverable(code, mask)
+        if analysis.erasure_recoverable(code, mask) != expect:
+            return CheckResult(
+                "peel-consistency(q=4)",
+                False,
+                f"structural/rank verdict mismatch on a {t}-cell mask",
+            )
         res = analysis.peel_decode(code, word, mask)
         if res.ok != expect or (res.ok and not np.array_equal(res.word, word)):
             return CheckResult(

@@ -12,6 +12,7 @@ import pytest
 
 from rsprod.analysis import (
     ErasureMask,
+    _rank_recoverable,
     block_margin_mask,
     double_root_check,
     erasure_recoverable,
@@ -216,7 +217,8 @@ def test_criterion_8_decoder_oracle_consistency(pairs):
             flat = np.zeros(n2, dtype=bool)
             flat[rng.choice(n2, size=t, replace=False)] = True
             mask = ErasureMask.from_flat(code.n_frak, flat)
-            expect = erasure_recoverable(code, mask)
+            expect = _rank_recoverable(code, mask)
+            assert erasure_recoverable(code, mask) == expect, (e, r, k, t)
             res = peel_decode(code, word, mask)
             assert res.ok == expect, (e, r, k, t)
             if res.ok:
@@ -227,12 +229,14 @@ def test_criterion_8_decoder_oracle_consistency(pairs):
         mask1 = block_margin_mask(n, r, a, b)
         assert mask1.count >= n * n - k + 1
         assert not erasure_recoverable(code, mask1)
+        assert not _rank_recoverable(code, mask1)
         if k >= r + 1:
             a2 = n - (k - 2) // (r - 1)
             b2 = n - 1 - ((k - 2) % (r - 1))
             mask2 = strip_margin_mask(n, r, a2, b2)
             assert mask2.count >= n * n - k + 1
             assert not erasure_recoverable(code, mask2)
+            assert not _rank_recoverable(code, mask2)
     print("\n[acceptance] criterion 8 (peel/rank consistency, 5000 masks): PASS")
 
 

@@ -1,14 +1,19 @@
 """Oracles: enumeration, spectra, erasure recoverability, peeling, double roots."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsprod.analysis import (
     BudgetExceeded,
     ErasureMask,
     _gray_transitions,
+    _peel_core,
+    _rank_recoverable,
     block_margin_mask,
     double_root_check,
     erasure_recoverable,
@@ -264,11 +269,129 @@ def test_peel_consistent_with_rank_oracle(e, r, k):
         flat = np.zeros(n2, dtype=bool)
         flat[cells] = True
         mask = ErasureMask.from_flat(code.n_frak, flat)
-        expect = erasure_recoverable(code, mask)
+        expect = _rank_recoverable(code, mask)
+        assert erasure_recoverable(code, mask) == expect
         res = peel_decode(code, word, mask)
         assert res.ok == expect
         if res.ok:
             assert np.array_equal(res.word, word)
+
+
+# ---------------------------------------------------------------------------
+# Structural oracle (peeling core + smaller-side rank) against the rank oracle
+# ---------------------------------------------------------------------------
+
+# (e, r, k): cores land below k (parity-check side) and at or above k
+# (generator side) across these codes
+ORACLE_CASES = [(2, 2, 3), (2, 3, 7), (3, 3, 4), (3, 5, 20), (4, 12, 132)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_code(e, r, k):
+    return build_code(instantiate_standard(e), r, k)
+
+
+@st.composite
+def block_noise_masks(draw, n):
+    """A random rows x columns block united with uniform noise: blocks give
+    small peeling cores, the noise density sweeps the rest."""
+    rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    er = np.random.default_rng(seed).random((n, n)) < p
+    er[np.ix_(rows, cols)] = True
+    return ErasureMask(n, er)
+
+
+def sequential_core(erased, r, rows_first):
+    """Peel one line at a time, all rows then all columns (or the reverse)."""
+    core = erased.copy()
+    first = core if rows_first else core.T
+    n = len(core)
+    changed = True
+    while changed:
+        changed = False
+        for lines in (first, first.T):
+            for i in range(n):
+                if lines[i].any() and n - lines[i].sum() >= r:
+                    lines[i] = False
+                    changed = True
+    return core
+
+
+@pytest.mark.parametrize("e,r,k", ORACLE_CASES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_structural_oracle_matches_rank(e, r, k, data):
+    code = cached_code(e, r, k)
+    mask = data.draw(block_noise_masks(code.n_frak))
+    assert erasure_recoverable(code, mask) == _rank_recoverable(code, mask)
+
+
+@pytest.mark.parametrize("e,r,k", [(2, 3, 7), (3, 5, 20)])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_peel_residual_is_mask_core(e, r, k, data):
+    code = cached_code(e, r, k)
+    mask = data.draw(block_noise_masks(code.n_frak))
+    msg = data.draw(st.lists(st.integers(0, code.ctx.order - 1), min_size=k, max_size=k))
+    word = encode(code, msg)
+    core = _peel_core(mask.erased, r)
+    res = peel_decode(code, word, mask)
+    assert res.used_global == core.any()
+    if res.ok:
+        assert np.array_equal(res.word, word)
+    else:
+        assert np.array_equal(res.residual.erased, core)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([4, 8, 16]), data=st.data())
+def test_peel_core_is_order_independent(n, data):
+    r = data.draw(st.integers(1, n))
+    mask = data.draw(block_noise_masks(n))
+    core = _peel_core(mask.erased, r)
+    assert np.array_equal(sequential_core(mask.erased, r, rows_first=True), core)
+    assert np.array_equal(sequential_core(mask.erased, r, rows_first=False), core)
+
+
+def test_peel_core_of_block_margin_is_black_block():
+    black = np.zeros((4, 4), dtype=bool)
+    black[np.ix_([0, 2, 3], [0, 2, 3])] = True
+    assert np.array_equal(_peel_core(block_margin_mask(4, 2, 1, 1).erased, 2), black)
+
+
+@pytest.mark.parametrize("e,r,k,side", [(3, 5, 20, 4), (3, 5, 20, 5), (4, 12, 132, 5),
+                                        (4, 12, 132, 12)])
+def test_structural_oracle_on_blocks_both_sides(e, r, k, side):
+    # a side x side block is its own core; 4*4 < 20 and 5*5 < 132 take the
+    # parity-check side, 5*5 >= 20 and 12*12 >= 132 the generator side
+    code = cached_code(e, r, k)
+    er = np.zeros((code.n_frak, code.n_frak), dtype=bool)
+    er[:side, :side] = True
+    mask = ErasureMask(code.n_frak, er)
+    assert np.array_equal(_peel_core(er, r), er)
+    assert erasure_recoverable(code, mask) == _rank_recoverable(code, mask)
+
+
+@pytest.mark.parametrize("e,r,k", ORACLE_CASES + [(2, 2, 4), (3, 3, 9)])
+def test_structural_oracle_on_figure_masks(e, r, k):
+    code = cached_code(e, r, k)
+    n = code.n_frak
+    ab = range(0, r + 1, max(1, r // 4))
+    masks = [block_margin_mask(n, r, a, b) for a in ab for b in ab]
+    if r >= 2:
+        ab = range(0, n, max(1, n // 4))
+        masks += [strip_margin_mask(n, r, a, b) for a in ab for b in ab]
+    verdicts = set()
+    for mask in masks:
+        expect = _rank_recoverable(code, mask)
+        assert erasure_recoverable(code, mask) == expect
+        verdicts.add(expect)
+        if mask.count >= n * n - k + 1:
+            assert not expect
+    assert verdicts == {True, False}
 
 
 def test_double_root_vacuous_and_tensor(pair_q4):

@@ -1,5 +1,6 @@
 """CLI surface: determinism, schemas, exit codes, and the verify suites."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -197,6 +198,46 @@ def test_erasure_sim_determinism(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+# Byte-exact erasure-sim stdout, recorded with the rank oracle on G[:, survivors]
+# as the verdict: (flags, recoverable count, sha256 of stdout).  Covers both
+# uniform-p benchmark sizes, random-t-cells, and both stopping-set figures on
+# each side of the codimension.
+ERASURE_SIM_GOLDENS = [
+    pytest.param("--q-log 4 --r 12 --k 132 --model uniform-p --p 0.45 --trials 24 --seed 7", 14,
+                 "07ceca701b0deceeeefa6e55c69caf65e2ce24a2051af0b99ee1ea9437adc08a",
+                 id="uniform-n16"),
+    pytest.param("--q-log 5 --r 16 --k 240 --model uniform-p --p 0.15 --trials 3 --seed 1", 3,
+                 "6472ec52daabfa627f02fbaae56f47bf64d6bf73495a6a9f536e70fc4884de88",
+                 id="uniform-n32"),
+    pytest.param("--q-log 3 --r 5 --k 20 --model random-t-cells --t 44 --trials 40 --seed 4", 32,
+                 "c09462d9d9026f680b5cab7b719ed308c4ca4f2e6290b4b21c762f709adddb82",
+                 id="t-cells-n8"),
+    pytest.param("--q-log 2 --r 3 --k 7 --model random-t-cells --t 8 --trials 60 --seed 4", 59,
+                 "820b79a1b836a1b9bff9ab6d16539d3ed7722d52e78694bfdbbdb40b36bc7ab9",
+                 id="t-cells-n4"),
+    pytest.param("--q-log 4 --r 12 --k 132 --model fig1 --a 4 --b 4", 0,
+                 "742bba5d395388955aa3d6cb776c473c25b43957d4445554a7f7de67082953cc",
+                 id="fig1-a4b4"),
+    pytest.param("--q-log 4 --r 12 --k 132 --model fig1 --a 1 --b 1", 1,
+                 "ef882dde6e7848edc1011fbabe802e9a13748ddb0a55fc0bf61a0fe889390d85",
+                 id="fig1-a1b1"),
+    pytest.param("--q-log 4 --r 12 --k 132 --model fig2 --a 5 --b 6", 0,
+                 "f599ad52e8ac09a6510b6aeb34c1fdef89af4da5a475fa184593751858983595",
+                 id="fig2-a5b6"),
+    pytest.param("--q-log 4 --r 12 --k 132 --model fig2 --a 1 --b 1", 1,
+                 "9b4a9eed6e816b55567a66e272cde1eae7615bea2af3cdf11e97e8efab14f9c1",
+                 id="fig2-a1b1"),
+]
+
+
+@pytest.mark.parametrize("flags,recoverable,digest", ERASURE_SIM_GOLDENS)
+def test_erasure_sim_golden_stdout(capsys, flags, recoverable, digest):
+    code, out, _ = run_cli(capsys, "erasure-sim", *flags.split())
+    assert code == 0
+    assert json.loads(out)["recoverable"] == recoverable
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_figure_output(capsys):
