@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degrees import DegreeProfile, degree_profile, ref_basis
+from .degrees import DegreeProfile, _echelon, degree_profile
 from .field import (
     FieldCtx,
     mat_nullspace,
@@ -70,31 +70,71 @@ class GridWord:
     entries: np.ndarray  # n x n, entry (i, j) sits at flat index i*n + j
 
 
+# cap on the elements of one broadcast product in build_code and encode
+_BLOCK_ELEMS = 1 << 16
+
+
 def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
     """C_k: the k lowest-degree echelon basis polynomials evaluated on the
-    grid; G[i][j] = basis_polys[i](eval_points[j])."""
+    grid; G[i][j] = basis_polys[i](eval_points[j]).
+
+    Computed in the tensor form rather than by evaluating polynomials of
+    degree up to 2(r-1)n: basis row l is sum_{a,b} S_l[a, b] g^a f^b (the
+    echelon transform), and at the cell Zf[i] + Zg[j] this takes the value
+    sum_{a,b} Zf[i]^a S_l[a, b] Zg[j]^b, because f vanishes on Zf and g on
+    Zg (so g(Zf[i]) = Zf[i] and f(Zg[j]) = Zg[j]).  Hence the grid image of
+    row l is A^T . S_l . B with A[a, i] = Zf[i]^a and B[b, j] = Zg[j]^b, and
+    its flattening in the i*n + j order is G[l].
+    """
     n = pair.n_frak
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got r={r}")
     if not 1 <= k <= r * r:
         raise ValueError(f"need 1 <= k <= r^2 = {r * r}, got k={k}")
+    ctx = pair.ctx
     profile = degree_profile(n, r)
-    basis = ref_basis(pair, r)[:k]
+    basis, s = _echelon(pair, r)
+    basis, s = basis[:k], s[:k]
     for i, p in enumerate(basis):
         if len(p) - 1 != profile.partial(i + 1):  # pragma: no cover
             raise AssertionError("echelon degrees disagree with the profile")
+    expo = np.arange(r)[:, None]
+    a_t = ctx.pow_arr(np.array(pair.Zf, dtype=np.int64), expo).T  # n x r
+    b = ctx.pow_arr(np.array(pair.Zg, dtype=np.int64), expo)  # r x n
+    g = np.empty((k, n, n), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMS // (n * r * n))
+    for lo in range(0, k, step):
+        blk = s[lo : lo + step]
+        # (S_l . B)[a, j], then (A^T . S_l . B)[i, j], XOR-reducing over b, a
+        sb = np.bitwise_xor.reduce(ctx.mul_arr(blk[:, :, :, None], b), axis=2)
+        g[lo : lo + step] = np.bitwise_xor.reduce(
+            ctx.mul_arr(a_t[:, :, None], sb[:, None, :, :]), axis=2
+        )
+    return CodeInstance(pair, r, k, profile, tuple(basis), g.reshape(k, n * n))
+
+
+def _horner_generator(pair: LinearizedPair, basis_polys) -> np.ndarray:
+    """Reference for build_code: G by Horner evaluation of every basis
+    polynomial on the sum points.  Slow; used by the tests only."""
     pts = np.array(pair.eval_points, dtype=np.int64)
-    g = np.zeros((k, n * n), dtype=np.int64)
-    for i, p in enumerate(basis):
+    g = np.zeros((len(basis_polys), len(pts)), dtype=np.int64)
+    for i, p in enumerate(basis_polys):
         g[i] = poly_eval_many(pair.ctx, p, pts)
-    return CodeInstance(pair, r, k, profile, tuple(basis), g)
+    return g
 
 
 def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
     if len(msg) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(msg)}")
-    m = np.asarray(msg, dtype=np.int64)
-    return np.bitwise_xor.reduce(code.ctx.mul_arr(code.G, m[:, None]), axis=0)
+    m = np.asarray(msg, dtype=np.int64)[:, None]
+    word = np.empty(code.length, dtype=np.int64)
+    # column blocks keep the temporaries small enough to be reused, not
+    # mapped and faulted in afresh on every call
+    step = max(1, _BLOCK_ELEMS // code.k)
+    for lo in range(0, code.length, step):
+        cols = slice(lo, lo + step)
+        word[cols] = np.bitwise_xor.reduce(code.ctx.mul_arr(code.G[:, cols], m), axis=0)
+    return word
 
 
 def relabel(pair: LinearizedPair, word) -> GridWord:

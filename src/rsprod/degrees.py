@@ -23,22 +23,26 @@ REF_MAX_RN = 1 << 13
 class DegreeProfile:
     """Degree bookkeeping for one (n, r) parameter pair.
 
-    partials[k-1] is the k-th smallest attainable degree; breakpoints
-    holds (t, k_t, partial at k_t); intervals[t] is the t-th contiguous
-    run of degrees.
+    D is the attainable degree set in ascending order, so D[k-1] is the
+    k-th smallest attainable degree (``partials`` names the same tuple);
+    breakpoints holds (t, k_t, partial at k_t); intervals[t] is the t-th
+    contiguous run of degrees.
     """
 
     n_frak: int
     r: int
     D: tuple[int, ...]
-    partials: tuple[int, ...]
     breakpoints: tuple[tuple[int, int, int], ...]
     intervals: tuple[tuple[int, ...], ...]
 
+    @property
+    def partials(self) -> tuple[int, ...]:
+        return self.D
+
     def partial(self, k: int) -> int:
-        if not 1 <= k <= len(self.partials):
-            raise ValueError(f"k must be in [1, {len(self.partials)}], got {k}")
-        return self.partials[k - 1]
+        if not 1 <= k <= len(self.D):
+            raise ValueError(f"k must be in [1, {len(self.D)}], got {k}")
+        return self.D[k - 1]
 
     @property
     def breakpoint_dims(self) -> tuple[int, ...]:
@@ -64,12 +68,19 @@ def degree_profile(n_frak: int, r: int) -> DegreeProfile:
         if d[k_t - 1] != deg_t:
             raise AssertionError("breakpoint formula disagrees with degree set")
         breakpoints.append((t, k_t, deg_t))
-    return DegreeProfile(n_frak, r, d, d, tuple(breakpoints), tuple(intervals))
+    return DegreeProfile(n_frak, r, d, tuple(breakpoints), tuple(intervals))
 
 
 def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
-    """Coefficient matrix of g^i f^j, one product per row, columns in
-    descending degree order, rows sorted by descending degree then (i, j)."""
+    """Coefficient matrix of g^a f^b, one product per row, columns in
+    descending degree order, rows sorted by descending degree then (a, b).
+
+    The r^2 columns after the polynomial part hold an identity block: row
+    (a, b) has a 1 in column maxdeg + 1 + a*r + b, so elimination carries
+    each row's combination of the products along with it.  Entries are
+    field elements (M <= 24 bits), so int32 holds them and halves the
+    matrix that those extra columns widen.
+    """
     ctx = pair.ctx
     n = pair.n_frak
     maxdeg = 2 * (r - 1) * n
@@ -81,22 +92,26 @@ def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
         g_pows.append(poly_mul(ctx, g_pows[-1], gx))
         f_pows.append(poly_mul(ctx, f_pows[-1], fx))
     order = sorted(
-        ((i, j) for i in range(r) for j in range(r)), key=lambda ij: (-sum(ij), ij)
+        ((a, b) for a in range(r) for b in range(r)), key=lambda ab: (-sum(ab), ab)
     )
-    mat = np.zeros((r * r, maxdeg + 1), dtype=np.int64)
-    for row, (i, j) in enumerate(order):
-        p = poly_mul(ctx, g_pows[i], f_pows[j])
-        mat[row, maxdeg - len(p) + 1 :] = p[::-1]
+    mat = np.zeros((r * r, maxdeg + 1 + r * r), dtype=np.int32)
+    for row, (a, b) in enumerate(order):
+        p = poly_mul(ctx, g_pows[a], f_pows[b])
+        mat[row, maxdeg - len(p) + 1 : maxdeg + 1] = p[::-1]
+        mat[row, maxdeg + 1 + a * r + b] = 1
     return mat, maxdeg
 
 
-def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
-    """Row-echelon basis of the product span, ascending by degree.
+def _echelon(pair: LinearizedPair, r: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Row-echelon basis of the product span with its transform.
+
+    Returns (basis_polys, S), both ascending by degree: basis_polys[l] is
+    the trimmed coefficient array (lowest degree first) of basis row l, and
+    S[l] is its r x r coefficient matrix in the (g^a, f^b) order, i.e.
+    basis_polys[l] = sum_{a,b} S[l, a, b] g^a f^b.
 
     Deterministic policy: pivot is the highest remaining degree, rows are
     eliminated downward only, and every pivot row is normalized monic.
-    Returned polynomials are trimmed coefficient arrays, lowest degree
-    first, with pairwise distinct degrees.
     """
     if not 1 <= r <= pair.n_frak:
         raise ValueError(f"need 1 <= r <= {pair.n_frak}, got r={r}")
@@ -108,7 +123,6 @@ def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
     mat, maxdeg = _product_rows(pair, r)
     nrows = mat.shape[0]
     pr = 0
-    basis: list[np.ndarray] = []
     for col in range(maxdeg + 1):
         if pr == nrows:
             break
@@ -118,14 +132,28 @@ def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
         row = pr + int(nz[0])
         if row != pr:
             mat[[pr, row]] = mat[[row, pr]]
-        mat[pr] = ctx.mul_arr(mat[pr], ctx.inv(int(mat[pr, col])))
+        # rows pr.. are zero left of col, so only columns col.. change
+        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv(int(mat[pr, col])))
         below = pr + 1 + np.nonzero(mat[pr + 1 :, col])[0]
         if len(below):
-            mat[below] ^= ctx.mul_arr(mat[below, col][:, None], mat[pr][None, :])
-        basis.append(poly_trim(mat[pr][::-1]))
+            mat[below, col:] ^= ctx.mul_arr(
+                mat[below, col][:, None], mat[pr, col:][None, :]
+            )
         pr += 1
-    basis.reverse()
-    return basis
+    pivots = mat[:pr][::-1]
+    # trimmed copies: a polynomial must not keep the echelon matrix alive
+    basis = [poly_trim(row[maxdeg::-1]).copy() for row in pivots]
+    return basis, pivots[:, maxdeg + 1 :].reshape(pr, r, r).astype(np.int64)
+
+
+def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
+    """Row-echelon basis of the product span, ascending by degree.
+
+    Returned polynomials are trimmed coefficient arrays, lowest degree
+    first, with pairwise distinct degrees; see :func:`_echelon` for the
+    pivot policy.
+    """
+    return _echelon(pair, r)[0]
 
 
 def ref_degree_oracle(pair: LinearizedPair, r: int) -> tuple[int, ...]:

@@ -195,6 +195,14 @@ class FieldCtx:
         out = exp2[log[a] + log[b]]
         return np.where((a == 0) | (b == 0), 0, out)
 
+    def pow_arr(self, a, e) -> np.ndarray:
+        """Elementwise a^e for exponents e >= 0 (broadcasting), with 0^0 = 1."""
+        exp2, log = self._tables()
+        a = np.asarray(a, dtype=np.int64)
+        e = np.asarray(e, dtype=np.int64)
+        out = exp2[log[a] * e % (self.order - 1)]
+        return np.where(a == 0, e == 0, out)
+
     def inv_arr(self, a) -> np.ndarray:
         exp2, log = self._tables()
         a = np.asarray(a, dtype=np.int64)

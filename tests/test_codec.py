@@ -83,6 +83,17 @@ def test_encode_unit_zero_random(pair_q4):
         encode(code, [1, 2])
 
 
+def test_encode_in_column_blocks_matches_row_combination():
+    # n = 32, k = 240: encode splits the 1024 columns into uneven blocks
+    code = build_code(instantiate_standard(5), 16, 240)
+    ctx = code.ctx
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        msg = rng.integers(0, ctx.order, size=code.k)
+        expect = np.bitwise_xor.reduce(ctx.mul_arr(code.G, msg[:, None]), axis=0)
+        assert np.array_equal(encode(code, msg), expect)
+
+
 def test_relabel_roundtrip(pair_q4):
     n2 = pair_q4.n_frak ** 2
     zero = np.zeros(n2, dtype=np.int64)

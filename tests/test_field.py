@@ -152,6 +152,12 @@ def test_mul_arr_matches_scalar_mul(m):
     inv = ctx.inv_arr(np.where(a == 0, 1, a))
     for i in range(len(a)):
         assert int(inv[i]) == ctx.inv(int(a[i]) if a[i] else 1)
+    a[:4] = 0
+    e = rng.integers(0, 2 * ctx.order, size=300)
+    e[::5] = 0
+    pw = ctx.pow_arr(a, e)
+    for i in range(len(a)):
+        assert int(pw[i]) == ctx.pow(int(a[i]), int(e[i]))
 
 
 def test_ctx_serialization_roundtrip():

@@ -1,0 +1,109 @@
+"""Generator construction: pinned generator hashes, and the tensor-form
+build of G checked against Horner evaluation of the basis polynomials."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsprod.cli import main
+from rsprod.codec import _horner_generator, build_code, export_generator_csv
+from rsprod.degrees import _echelon, degree_profile
+from rsprod.field import field_new, is_irreducible, poly_compose, smallest_irreducible
+from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard, subfield
+
+# SHA-256 of export_generator_csv for the standard pair, recorded with G built
+# by Horner evaluation of every basis polynomial on the sum points:
+# (q_log, r, k, digest).  Covers r = 1, r = n, k = 1, k = r^2 and both
+# benchmark erasure codes.
+GENERATOR_GOLDENS = [
+    (1, 1, 1, "10f97a1760ca1d62255ce94390035633d17db78b3cc1f0829916fc7239d52b90"),
+    (1, 2, 1, "b21e8a57ad97bb8bf08ca8872603b6df9f0fb0a4896d5d0f7bbe401e26d599c9"),
+    (1, 2, 4, "f5568592018509417a774701df3e25ecf63278915f8e7a8eae88206654a01658"),
+    (2, 1, 1, "03a9cf345815bb7c5add6d9448ac6504aaf8421c5bcf9b4a51ed0d4ff8a92f9a"),
+    (2, 2, 3, "e05610b3945c200667bc0d8b6d4bde699d606e1db6ec752c7b019f4e74423500"),
+    (2, 3, 7, "cc526ae7bc220a83c0b993530de9847fab4d58d132e7735975556e6301acdf84"),
+    (2, 4, 16, "0a2140c9926547b27a20f2dee79a3d59323cd79de7f0a88d47fdcda7bacb251d"),
+    (3, 3, 4, "4c23a1260ea655ac7fbfcb14926811baff42e94777d035a5cb80c4d4c18d95bb"),
+    (3, 5, 20, "2b74c2c00196615edac1711fea47d6c74930df564d1d01b18297606300648c13"),
+    (3, 8, 36, "de48414dfbe281317300b3e56fdb775f79431e736104e1e884bbc102dca7c766"),
+    (3, 8, 64, "d293d3e0d65822a9e2534b1c24108d70bbc6413a4c9771983d2ef72623687f29"),
+    (4, 5, 12, "7e257b91224d043e12bfa35a0aa94cd1a78ad2aca1838536237d9180ecb2790a"),
+    (4, 12, 132, "901bc4bf79976c68fb4909e29be423dbec403c1008bf83906f02316c4691a692"),
+    (4, 16, 256, "ababb7813b65a5809238963968087429367d6f5aa6a23af027ae23558c70d67d"),
+    (5, 16, 240, "543e9b1f91f27588625b3cca8332c3cb31b21fe5c0255d42afd3bdd5193dc41b"),
+]
+
+
+@pytest.mark.parametrize("e,r,k,digest", GENERATOR_GOLDENS)
+def test_generator_golden(e, r, k, digest):
+    code = build_code(instantiate_standard(e), r, k)
+    text = export_generator_csv(code)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Byte-exact `rsprod build` stdout with field overrides, recorded the same way.
+BUILD_GOLDENS = [
+    ("--q-log 2 --r 3 --k 7 --c 7 --field-poly 19", "19",
+     "2b3ec947e9aa2d39b6d5ea5b14bf697bda96196d4335f9e878a84d13d040db10"),
+    ("--q-log 3 --r 4 --k 10 --c 5 --field-poly 61", "61",
+     "96c07436939638e806444fd985e19fc20fcf8415812ac41ea7dc2bbd83c14dc3"),
+    ("--q-log 4 --r 6 --k 30 --field-poly 11d", "11d",
+     "55aca402f2f02b107da7b48c63c9001bad97ee430bf1377ee0371076697ed135"),
+]
+
+
+@pytest.mark.parametrize("flags,poly_hex,digest", BUILD_GOLDENS)
+def test_build_stdout_golden(capsys, flags, poly_hex, digest):
+    assert main(["build", *flags.split()]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out.split("\n", 1)[0][2:])["reduction_poly_hex"] == poly_hex
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# pairs that are not the small-field instantiation: (M, q_log, f coefficients)
+GENERAL_PAIRS = [(6, 1, (0xE, 0, 1)), (6, 1, (58, 0, 0, 1))]
+
+
+@st.composite
+def pairs(draw):
+    """The standard pair at q_log 1-4 with default, overridden c or
+    overridden reduction polynomial, or a general build_pair(f) pair."""
+    kind = draw(st.sampled_from(["default", "c", "field-poly", "general"]))
+    if kind == "general":
+        m, q_log, coeffs = draw(st.sampled_from(GENERAL_PAIRS))
+        return build_pair(LinearizedPoly(field_new(m), q_log, coeffs))
+    e = draw(st.integers(1, 4))
+    if kind == "c":
+        ctx = field_new(2 * e)
+        outside = sorted(set(ctx.elements()) - set(subfield(ctx, e)))
+        return instantiate_standard(e, c=draw(st.sampled_from(outside)))
+    if kind == "field-poly":
+        m = 2 * e
+        polys = [p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m)]
+        others = [p for p in polys if p != smallest_irreducible(m)] or polys
+        return instantiate_standard(e, reduction_poly=draw(st.sampled_from(others)))
+    return instantiate_standard(e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_tensor_generator_matches_horner(pair, data):
+    n = pair.n_frak
+    # r = 1 and r = n, else small r where Horner stays fast
+    r = data.draw(st.sampled_from([1, n]) | st.integers(1, min(n, 6)), label="r")
+    dims = degree_profile(n, r).breakpoint_dims
+    k = data.draw(
+        st.sampled_from(sorted({1, r * r, *dims})) | st.integers(1, r * r), label="k"
+    )
+    code = build_code(pair, r, k)
+    assert np.array_equal(code.G, _horner_generator(pair, code.basis_polys))
+    # the transform reproduces every basis polynomial from the products g^a f^b
+    basis, s = _echelon(pair, r)
+    gx, fx = pair.g.to_unipoly(), pair.f.to_unipoly()
+    assert s.shape == (r * r, r, r)
+    for poly, s_l in zip(basis, s):
+        assert np.array_equal(poly_compose(pair.ctx, s_l, gx, fx), poly)
