@@ -13,6 +13,7 @@ from a popcount, otherwise symbols stay in a small unsigned dtype.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import CodeInstance, GridWord, encode, interpolate, relabel, unrelabel
+from .codec import (
+    CodeInstance,
+    GridWord,
+    _line_predictions,
+    _log_differences,
+    encode,
+    relabel,
+    unrelabel,
+)
 from .field import (
     FieldCtx,
     mat_rank,
@@ -29,7 +38,6 @@ from .field import (
     poly_deriv,
     poly_divmod,
     poly_eval,
-    poly_eval_many,
     poly_scale,
 )
 
@@ -152,15 +160,6 @@ def _pack(vecs: np.ndarray, packing: dict) -> np.ndarray:
     return np.bitwise_or.reduce(v << packing["shifts"], axis=-1)
 
 
-def _packed_weights(x: np.ndarray, packing: dict) -> np.ndarray:
-    t = x
-    s = 1
-    while s < packing["m"]:
-        t = t | (t >> np.uint64(s))
-        s <<= 1
-    return np.bitwise_count(t & packing["lane_mask"])
-
-
 def _sym_dtype(ctx: FieldCtx):
     if ctx.extension_degree <= 8:
         return np.uint8
@@ -199,14 +198,37 @@ def _spectrum_over(
         n_bottom += 1
 
     counts = np.zeros(length + 1, dtype=np.int64)
+    # every flush fills these buffers in place; span-sized temporaries would
+    # be mapped and faulted in afresh on each of the |F|^(k - n_bottom)
+    # flushes.  The weights are intp because bincount takes nothing else
+    # without a converted copy.
+    x = np.empty_like(span)
+    weights = np.empty(len(span), dtype=np.intp)
+    if packing is not None:
+        spread = np.empty_like(span)
+        m = packing["m"]
 
-    def flush(partial):
-        x = span ^ partial
-        if packing is not None:
-            w = _packed_weights(x, packing)
-        else:
-            w = np.count_nonzero(x, axis=1)
-        counts[:] += np.bincount(w, minlength=length + 1)[: length + 1]
+        def flush(partial):
+            np.bitwise_xor(span, partial, out=x)
+            # OR each m-bit lane into its lowest bit, never past the lane
+            covered = 1
+            while covered < m:
+                shift = min(covered, m - covered)
+                np.right_shift(x, np.uint64(shift), out=spread)
+                np.bitwise_or(x, spread, out=x)
+                covered += shift
+            np.bitwise_and(x, packing["lane_mask"], out=x)
+            np.bitwise_count(x, out=weights)
+            counts[:] += np.bincount(weights, minlength=length + 1)
+
+    else:
+        nonzero = np.empty(span.shape, dtype=bool)
+
+        def flush(partial):
+            np.bitwise_xor(span, partial, out=x)
+            np.not_equal(x, 0, out=nonzero)
+            np.sum(nonzero, axis=1, out=weights)
+            counts[:] += np.bincount(weights, minlength=length + 1)
 
     gray_tables = tables[n_bottom:]
     if packing is not None:
@@ -215,7 +237,7 @@ def _spectrum_over(
         partial = np.zeros(length, dtype=_sym_dtype(ctx))
     flush(partial)
     for digit, old, new in _gray_transitions(q, len(gray_tables)):
-        partial = partial ^ gray_tables[digit][old ^ new]
+        partial ^= gray_tables[digit][old ^ new]
         flush(partial)
     return counts
 
@@ -237,6 +259,7 @@ def _span_spectrum(
 ) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     length = rows.shape[1]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(rows) < 2:
         return _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
     chunks = np.array_split(np.arange(ctx.order), workers)
@@ -451,27 +474,40 @@ class PeelResult:
         return self.word is not None
 
 
-def _repair_line(
-    ctx: FieldCtx, r: int, points: np.ndarray, values: np.ndarray, known: np.ndarray
-) -> Optional[np.ndarray]:
-    idx = np.nonzero(known)[0]
-    if len(idx) < r:
-        return None
-    use = idx[:r]
-    coeffs = interpolate(ctx, [int(points[i]) for i in use], values[use])
-    preds = poly_eval_many(ctx, coeffs, points)
-    if np.any(preds[idx] != values[idx]):
+def _fill_lines(
+    ctx: FieldCtx, r: int, ld: np.ndarray, lines: np.ndarray, erased: np.ndarray
+) -> bool:
+    """One pass of local repair over the rows of ``lines`` (values on the
+    point set of ``ld``), in place: every line with an erasure and at least
+    r survivors is interpolated through its first r survivors and filled.
+    The lines of a pass are independent, so they are filled at once.  A
+    known symbol off the prediction raises ValueError; returns whether any
+    line was filled."""
+    n = lines.shape[1]
+    survivors = n - erased.sum(axis=1)
+    todo = np.nonzero((survivors < n) & (survivors >= r))[0]
+    if len(todo) == 0:
+        return False
+    vals = lines[todo]
+    known = ~erased[todo]
+    first = known & (np.cumsum(known, axis=1) <= r)
+    anchors = np.nonzero(first)[1].reshape(len(todo), r)
+    pred = _line_predictions(ctx, ld, vals, anchors)
+    if np.any((pred != vals) & known & ~first):
         raise ValueError("interpolation mismatch on a known symbol")
-    return preds
+    lines[todo] = np.where(known, vals, pred)
+    erased[todo] = False
+    return True
 
 
 def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     """Iterated local repair: any grid line with at least r surviving
-    symbols is interpolated and filled.  What peeling leaves is the peeling
-    core E' of the mask, and a global solve in its cells finishes it off,
-    on the parity checks when |E'| < k and on the generator otherwise (see
-    erasure_recoverable).  Known symbols that fit no codeword raise
-    ValueError; an ambiguous core returns no word and E' as the residual."""
+    symbols is interpolated and filled, all rows of a pass at once and then
+    all columns.  What peeling leaves is the peeling core E' of the mask,
+    and a global solve in its cells finishes it off, on the parity checks
+    when |E'| < k and on the generator otherwise (see erasure_recoverable).
+    Known symbols that fit no codeword raise ValueError; an ambiguous core
+    returns no word and E' as the residual."""
     pair = code.pair
     n = code.n_frak
     if mask.n_frak != n:
@@ -480,25 +516,13 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     grid = relabel(pair, word).entries
     erased = mask.erased.copy()
     grid[erased] = 0
-    zg = np.array(pair.Zg, dtype=np.int64)
-    zf = np.array(pair.Zf, dtype=np.int64)
+    # grid rows live on Zg and grid columns on Zf
+    ld_rows = _log_differences(ctx, pair.Zg)
+    ld_cols = _log_differences(ctx, pair.Zf)
     progress = True
     while progress and erased.any():
-        progress = False
-        for i in range(n):
-            if erased[i].any():
-                fixed = _repair_line(ctx, code.r, zg, grid[i], ~erased[i])
-                if fixed is not None:
-                    grid[i] = fixed
-                    erased[i] = False
-                    progress = True
-        for j in range(n):
-            if erased[:, j].any():
-                fixed = _repair_line(ctx, code.r, zf, grid[:, j], ~erased[:, j])
-                if fixed is not None:
-                    grid[:, j] = fixed
-                    erased[:, j] = False
-                    progress = True
+        progress = _fill_lines(ctx, code.r, ld_rows, grid, erased)
+        progress |= _fill_lines(ctx, code.r, ld_cols, grid.T, erased.T)
     if not erased.any():
         return PeelResult(unrelabel(pair, GridWord(grid)), None, used_global=False)
     status, full = _solve_core(code, erased.reshape(-1), grid.reshape(-1))

@@ -172,33 +172,66 @@ def _interp_matrix(ctx: FieldCtx, points: tuple[int, ...]) -> np.ndarray:
 
 def interpolate(ctx: FieldCtx, points: Sequence[int], values) -> np.ndarray:
     """Coefficients (lowest first, untrimmed length n) of the unique
-    degree < n polynomial through the given points."""
+    degree < n polynomial through the given points.  Line repair and
+    local_membership use the barycentric _line_predictions instead; this
+    is the reference the tests hold it to."""
     lm = _interp_matrix(ctx, tuple(points))
     v = np.asarray(values, dtype=np.int64)
     return np.bitwise_xor.reduce(ctx.mul_arr(lm, v[:, None]), axis=0)
 
 
+def _log_differences(ctx: FieldCtx, points) -> np.ndarray:
+    """ld[i, j] = log(points[i] + points[j]) for distinct points, with a
+    zero diagonal: the one table that barycentric line repair needs per
+    point set."""
+    pts = np.asarray(points, dtype=np.int64)
+    diff = pts[:, None] ^ pts[None, :]
+    np.fill_diagonal(diff, 1)
+    return ctx.log_arr(diff)
+
+
+def _line_predictions(
+    ctx: FieldCtx, ld: np.ndarray, lines: np.ndarray, anchors: np.ndarray
+) -> np.ndarray:
+    """Values at all n points of the degree < r polynomial through the
+    cells ``anchors[l]`` (r distinct indices) of each line ``lines[l]``.
+
+    Barycentric Lagrange form: with s[x] = sum_{w in U} ld[x, w] over the
+    anchors U, the basis polynomial of anchor u is
+    L_u(x_j) = exp(s[j] - ld[u, j] - s[u]) at every non-anchor j, because
+    prod_{w != u} (x_j + w) / (u + w) has the logarithm s[j] - ld[u, j] in
+    its numerator and s[u] in its denominator.  The predictions at the
+    anchors themselves are not meaningful; callers keep their values."""
+    r = anchors.shape[1]
+    n = lines.shape[1]
+    sel = np.zeros(lines.shape, dtype=np.int64)
+    np.put_along_axis(sel, anchors, 1, axis=1)
+    s = sel @ ld  # ld is symmetric with a zero diagonal
+    out = np.empty(lines.shape, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMS // (r * n))
+    for lo in range(0, len(lines), step):
+        blk = slice(lo, lo + step)
+        a, sb = anchors[blk], s[blk]
+        e = sb[:, None, :] - ld[a] - np.take_along_axis(sb, a, axis=1)[:, :, None]
+        v = np.take_along_axis(lines[blk], a, axis=1)
+        out[blk] = np.bitwise_xor.reduce(ctx.mul_arr(v[:, :, None], ctx.exp_arr(e)), axis=1)
+    return out
+
+
 def local_membership(pair: LinearizedPair, r: int, gw: GridWord) -> bool:
-    """True iff every grid row interpolates to degree < r on Zg and every
-    grid column to degree < r on Zf."""
+    """True iff every grid row agrees with a polynomial of degree < r on Zg
+    and every grid column with one on Zf: the prediction from the first r
+    cells of each line must match all n cells."""
     n = pair.n_frak
     if r >= n:
         return True
     ctx = pair.ctx
-    lg = _interp_matrix(ctx, pair.Zg)
-    lf = _interp_matrix(ctx, pair.Zf)
-    rows = gw.entries
-    # coefficient matrices for all rows / columns at once
-    row_coeffs = np.bitwise_xor.reduce(
-        ctx.mul_arr(rows[:, :, None], lg[None, :, :]), axis=1
-    )
-    if np.any(row_coeffs[:, r:]):
-        return False
-    cols = gw.entries.T
-    col_coeffs = np.bitwise_xor.reduce(
-        ctx.mul_arr(cols[:, :, None], lf[None, :, :]), axis=1
-    )
-    return not np.any(col_coeffs[:, r:])
+    anchors = np.broadcast_to(np.arange(r), (n, r))
+    for lines, points in ((gw.entries, pair.Zg), (gw.entries.T, pair.Zf)):
+        pred = _line_predictions(ctx, _log_differences(ctx, points), lines, anchors)
+        if np.any(pred[:, r:] != lines[:, r:]):
+            return False
+    return True
 
 
 def export_generator_csv(code: CodeInstance) -> str:

@@ -87,8 +87,7 @@ class FieldCtx:
         self.extension_degree = m
         self.reduction_poly = reduction_poly
         self.order = 1 << m
-        self._exp2: Optional[np.ndarray] = None
-        self._log: Optional[np.ndarray] = None
+        self._exp_log: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.generator: Optional[int] = None
 
     # -- identity ----------------------------------------------------------
@@ -156,18 +155,28 @@ class FieldCtx:
 
     # -- vectorized arithmetic ----------------------------------------------
 
-    def _build_tables(self) -> None:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) with a zero sentinel: log[0] = 2(q-1) and exp is zero
+        from index 2(q-1) up to 4(q-1), so exp[log[a] + log[b]] is the
+        product a*b for every a, b, zero included.  Built on first use into
+        locals and published by one assignment, so concurrent first uses
+        each store an equal pair."""
+        if self._exp_log is None:
+            self._exp_log = self._build_tables()
+        return self._exp_log
+
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self.extension_degree > _TABLE_LIMIT:
             raise ValueError(
                 f"log/antilog tables unsupported beyond M={_TABLE_LIMIT}"
             )
         n = self.order - 1
-        exp = np.zeros(n, dtype=np.int64)
+        powers = np.zeros(n, dtype=np.int64)
         for g in range(1, self.order):
             val = 1
             length = 0
             for i in range(n):
-                exp[i] = val
+                powers[i] = val
                 val = self.mul(val, g)
                 length = i + 1
                 if val == 1:
@@ -177,39 +186,50 @@ class FieldCtx:
                 break
         else:  # pragma: no cover - multiplicative group is always cyclic
             raise AssertionError("no generator found")
-        log = np.zeros(self.order, dtype=np.int64)
-        log[exp] = np.arange(n, dtype=np.int64)
-        self._exp2 = np.concatenate([exp, exp])
-        self._log = log
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._exp2 is None:
-            self._build_tables()
-        return self._exp2, self._log  # type: ignore[return-value]
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:n] = powers
+        exp[n : 2 * n] = powers
+        log = np.full(self.order, 2 * n, dtype=np.int64)
+        log[powers] = np.arange(n, dtype=np.int64)
+        return exp, log
 
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product of int arrays (broadcasting)."""
-        exp2, log = self._tables()
+        exp, log = self._tables()
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = exp2[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return exp[log[a] + log[b]]
 
     def pow_arr(self, a, e) -> np.ndarray:
         """Elementwise a^e for exponents e >= 0 (broadcasting), with 0^0 = 1."""
-        exp2, log = self._tables()
+        exp, log = self._tables()
         a = np.asarray(a, dtype=np.int64)
         e = np.asarray(e, dtype=np.int64)
-        out = exp2[log[a] * e % (self.order - 1)]
+        out = exp[log[a] * e % (self.order - 1)]
         return np.where(a == 0, e == 0, out)
 
     def inv_arr(self, a) -> np.ndarray:
-        exp2, log = self._tables()
+        exp, log = self._tables()
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ValueError("zero has no multiplicative inverse")
         n = self.order - 1
-        return exp2[n - log[a]]
+        return exp[n - log[a]]
+
+    def log_arr(self, a) -> np.ndarray:
+        """Elementwise discrete logarithm to the base ``generator``, in
+        [0, 2^M - 1), of nonzero elements."""
+        _, log = self._tables()
+        a = np.asarray(a, dtype=np.int64)
+        if np.any(a == 0):
+            raise ValueError("zero has no discrete logarithm")
+        return log[a]
+
+    def exp_arr(self, e) -> np.ndarray:
+        """Elementwise generator^e for any integer exponents (negative ones
+        included)."""
+        exp, _ = self._tables()
+        return exp[np.asarray(e, dtype=np.int64) % (self.order - 1)]
 
 
 def field_new(m: int, reduction_poly: Optional[int] = None) -> FieldCtx:

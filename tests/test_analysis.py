@@ -2,18 +2,23 @@
 
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsprod import analysis
 from rsprod.analysis import (
     BudgetExceeded,
     ErasureMask,
+    _fill_lines,
     _gray_transitions,
+    _pack_rows,
     _peel_core,
     _rank_recoverable,
+    _spectrum_over,
     block_margin_mask,
     double_root_check,
     erasure_recoverable,
@@ -25,9 +30,10 @@ from rsprod.analysis import (
     strip_margin_mask,
 )
 from rsprod.bounds import exact_distance
-from rsprod.codec import build_code, encode, relabel
-from rsprod.field import mat_nullspace
-from rsprod.linearized import instantiate_standard
+from rsprod.cli import main
+from rsprod.codec import _log_differences, build_code, encode, interpolate, relabel
+from rsprod.field import field_new, mat_nullspace, poly_eval_many
+from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
 
 
 @pytest.fixture(scope="module")
@@ -106,10 +112,70 @@ def test_exhaustive_budget():
 
 
 def test_workers_agree_with_serial(pair_q4):
+    # one packed-uint64 and one unpacked code, both against encoding every
+    # message
+    for code in (build_code(pair_q4, 2, 3), build_code(instantiate_standard(3), 2, 2)):
+        d1, s1 = exhaustive_distance(code)
+        d2, s2 = exhaustive_distance(code, workers=2)
+        assert d1 == d2 and s1.counts == s2.counts
+        brute = {}
+        for msg in itertools.product(range(code.ctx.order), repeat=code.k):
+            w = int(np.count_nonzero(encode(code, msg)))
+            brute[w] = brute.get(w, 0) + 1
+        assert s1.counts == brute
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_packed_weights_for_any_lane_width(m):
+    # symbol widths that are not powers of two must not pick up the bits
+    # of the neighbouring lane when the lane is folded to one bit
+    ctx = field_new(m)
+    length = 64 // m
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, ctx.order, size=(2, length))
+    assert _pack_rows(ctx, rows) is not None
+    got = _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
+    want = np.zeros(length + 1, dtype=np.int64)
+    for a, b in itertools.product(range(ctx.order), repeat=2):
+        want[np.count_nonzero(ctx.mul_arr(rows[0], a) ^ ctx.mul_arr(rows[1], b))] += 1
+    assert np.array_equal(got, want)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        SerialPool.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "seen", [])
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
     code = build_code(pair_q4, 2, 3)
-    d1, s1 = exhaustive_distance(code)
-    d2, s2 = exhaustive_distance(code, workers=2)
-    assert d1 == d2 and s1.counts == s2.counts
+    _, serial = exhaustive_distance(code, workers=1)
+    assert SerialPool.seen == []
+    _, capped = exhaustive_distance(code, workers=64)
+    assert SerialPool.seen == [3] and capped.counts == serial.counts
+    assert main(["distance", "--q-log", "2", "--r", "2", "--k", "3", "--threads", "1000"]) == 0
+    assert SerialPool.seen == [3, 3]
+    assert json.loads(capsys.readouterr().out)["distance"] == serial.min_nonzero_weight()
+    # an unknown CPU count means one: no pool at all
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+    _, single = exhaustive_distance(code, workers=8)
+    assert SerialPool.seen == [3, 3] and single.counts == serial.counts
 
 
 def test_sampled_distance(pair_q4):
@@ -275,6 +341,143 @@ def test_peel_consistent_with_rank_oracle(e, r, k):
         assert res.ok == expect
         if res.ok:
             assert np.array_equal(res.word, word)
+
+
+# ---------------------------------------------------------------------------
+# Batched barycentric line repair against per-line interpolation
+# ---------------------------------------------------------------------------
+
+
+def reference_fill(ctx, r, points, lines, erased):
+    """One repair pass line by line: Lagrange interpolation through the
+    first r survivors and Horner evaluation at every point.  Returns the
+    filled copies, or None when a known symbol disagrees."""
+    lines, erased = lines.copy(), erased.copy()
+    for i in range(len(lines)):
+        idx = np.nonzero(~erased[i])[0]
+        if not erased[i].any() or len(idx) < r:
+            continue
+        use = idx[:r]
+        coeffs = interpolate(ctx, [int(points[j]) for j in use], lines[i, use])
+        preds = poly_eval_many(ctx, coeffs, np.asarray(points, dtype=np.int64))
+        if np.any(preds[idx] != lines[i, idx]):
+            return None
+        lines[i], erased[i] = preds, False
+    return lines, erased
+
+
+def reference_peel(code, word, mask):
+    """The per-line peeling loop: ("mismatch",) when a repairable line
+    disagrees with a known symbol, else ("peeled", grid, erased)."""
+    pair = code.pair
+    grid = relabel(pair, word).entries
+    erased = mask.erased.copy()
+    grid[erased] = 0
+    progress = True
+    while progress and erased.any():
+        before = erased.sum()
+        out = reference_fill(code.ctx, code.r, pair.Zg, grid, erased)
+        if out is None:
+            return ("mismatch",)
+        grid, erased = out
+        out = reference_fill(code.ctx, code.r, pair.Zf, grid.T, erased.T)
+        if out is None:
+            return ("mismatch",)
+        grid, erased = out[0].T.copy(), out[1].T.copy()
+        progress = erased.sum() < before
+    return ("peeled", grid, erased)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e=st.integers(1, 4), data=st.data())
+def test_fill_lines_matches_per_line_interpolation(e, data):
+    pair = instantiate_standard(e)
+    ctx, n = pair.ctx, pair.n_frak
+    points = data.draw(st.sampled_from([pair.Zf, pair.Zg]), label="points")
+    r = data.draw(st.sampled_from([1, n]) | st.integers(1, n), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pts = np.array(points, dtype=np.int64)
+    n_lines = 6
+    # each line lies on a random polynomial of degree < r; its survivors
+    # number exactly r, all n, or anything, and a few lines get a wrong cell
+    lines = np.array(
+        [poly_eval_many(ctx, rng.integers(0, ctx.order, size=r), pts) for _ in range(n_lines)]
+    )
+    erased = np.zeros((n_lines, n), dtype=bool)
+    for i in range(n_lines):
+        keep = data.draw(st.sampled_from([r, n]) | st.integers(0, n), label="survivors")
+        erased[i, rng.choice(n, size=n - keep, replace=False)] = True
+    if data.draw(st.booleans(), label="corrupt"):
+        i, j = int(rng.integers(n_lines)), int(rng.integers(n))
+        lines[i, j] ^= int(rng.integers(1, ctx.order))
+    lines[erased] = 0
+    want = reference_fill(ctx, r, pts, lines, erased)
+    got_lines, got_erased = lines.copy(), erased.copy()
+    if want is None:
+        with pytest.raises(ValueError, match="interpolation mismatch on a known symbol"):
+            _fill_lines(ctx, r, _log_differences(ctx, pts), got_lines, got_erased)
+        return
+    filled = _fill_lines(ctx, r, _log_differences(ctx, pts), got_lines, got_erased)
+    assert filled == bool((got_erased != erased).any())
+    assert np.array_equal(got_lines, want[0]) and np.array_equal(got_erased, want[1])
+
+
+@functools.lru_cache(maxsize=None)
+def general_code(r, k):
+    """A code on a pair whose Zg is no scalar multiple of Zf, so row and
+    column repair do not share one Lagrange basis."""
+    pair = build_pair(LinearizedPoly(field_new(6), 1, (58, 0, 0, 1)))
+    return build_code(pair, r, k)
+
+
+@pytest.mark.parametrize("e,r,k", [(2, 2, 3), (3, 3, 4), (3, 5, 20), ("general", 3, 5)])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_peel_raises_exactly_on_a_repairable_mismatch(e, r, k, data):
+    code = general_code(r, k) if e == "general" else cached_code(e, r, k)
+    n, ctx = code.n_frak, code.ctx
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    word = encode(code, rng.integers(0, ctx.order, size=k))
+    cells = rng.choice(code.length, size=data.draw(st.integers(0, 3), label="bad"), replace=False)
+    word[cells] ^= rng.integers(1, ctx.order, size=len(cells))
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]), label="p")
+    mask = ErasureMask.from_flat(n, rng.random(code.length) < p)
+    want = reference_peel(code, word, mask)
+    if want[0] == "mismatch":
+        with pytest.raises(ValueError, match="interpolation mismatch on a known symbol"):
+            peel_decode(code, word, mask)
+        return
+    _, grid, erased = want
+    try:
+        res = peel_decode(code, word, mask)
+    except ValueError as exc:
+        # only the global solve may still find the survivors inconsistent
+        assert erased.any() and "not consistent with any codeword" in str(exc)
+        return
+    assert res.used_global == bool(erased.any())
+    if not erased.any():
+        assert np.array_equal(res.word, grid.reshape(-1))
+    elif res.residual is not None:
+        assert np.array_equal(res.residual.erased, erased)
+
+
+def test_peel_mismatch_first_seen_in_column_pass(pair_q4):
+    # every row keeps one cell (< r = 2), so the row pass repairs nothing;
+    # column 0 keeps three cells, and the third disagrees with the line
+    # through the first two
+    code = build_code(pair_q4, 2, 3)
+    word = encode(code, [3, 1, 4])
+    er = np.ones((4, 4), dtype=bool)
+    er[0:3, 0] = False
+    er[3, 1] = False
+    mask = ErasureMask(4, er)
+    res = peel_decode(code, word, mask)
+    assert res.ok and np.array_equal(res.word, word)
+    bad = word.copy()
+    bad[2 * 4 + 0] ^= 1
+    assert reference_peel(code, bad, mask) == ("mismatch",)
+    with pytest.raises(ValueError, match="interpolation mismatch on a known symbol"):
+        peel_decode(code, bad, mask)
 
 
 # ---------------------------------------------------------------------------

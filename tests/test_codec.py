@@ -4,8 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsprod.codec import (
+    _line_predictions,
+    _log_differences,
+    GridWord,
     build_code,
     encode,
     export_generator_csv,
@@ -192,6 +197,64 @@ def test_interpolate_recovers_polynomial(pair_q4):
         vals = poly_eval_many(ctx, np.trim_zeros(coeffs, "b"), np.array(pts))
         got = interpolate(ctx, pts, vals)
         assert np.array_equal(np.trim_zeros(got, "b"), np.trim_zeros(coeffs, "b"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e=st.integers(1, 4), data=st.data())
+def test_line_predictions_match_interpolation(e, data):
+    # the barycentric batch against per-line Lagrange interpolation and
+    # Horner evaluation, on either point set, at every non-anchor point
+    pair = instantiate_standard(e)
+    ctx, n = pair.ctx, pair.n_frak
+    points = data.draw(st.sampled_from([pair.Zf, pair.Zg]), label="points")
+    r = data.draw(st.sampled_from([1, n]) | st.integers(1, n), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_lines = int(rng.integers(1, 6))
+    lines = rng.integers(0, ctx.order, size=(n_lines, n))
+    anchors = np.sort(
+        np.array([rng.choice(n, size=r, replace=False) for _ in range(n_lines)]), axis=1
+    )
+    pred = _line_predictions(ctx, _log_differences(ctx, points), lines, anchors)
+    pts = np.array(points, dtype=np.int64)
+    for line, anc, got in zip(lines, anchors, pred):
+        coeffs = interpolate(ctx, [int(pts[i]) for i in anc], line[anc])
+        want = poly_eval_many(ctx, coeffs, pts)
+        rest = np.setdiff1d(np.arange(n), anc)
+        assert np.array_equal(got[rest], want[rest])
+
+
+def reference_membership(pair, r, grid):
+    """Every row has degree < r on Zg and every column on Zf, by
+    interpolating through all n cells."""
+    ctx = pair.ctx
+    for lines, points in ((grid, pair.Zg), (grid.T, pair.Zf)):
+        for line in lines:
+            if np.any(interpolate(ctx, list(points), line)[r:]):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e=st.integers(1, 3), data=st.data())
+def test_local_membership_matches_interpolation(e, data):
+    pair = instantiate_standard(e)
+    n = pair.n_frak
+    r = data.draw(st.integers(1, n), label="r")
+    k = data.draw(st.integers(1, r * r), label="k")
+    code = build_code(pair, r, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    word = encode(code, rng.integers(0, pair.ctx.order, size=k))
+    # codewords, codewords off in a few cells, and whole-line changes that
+    # keep the rows (or the columns) in the row code
+    kind = data.draw(st.sampled_from(["codeword", "cells", "row"]), label="kind")
+    grid = relabel(pair, word).entries
+    if kind == "cells":
+        cells = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
+        grid.reshape(-1)[cells] ^= rng.integers(1, pair.ctx.order, size=len(cells))
+    elif kind == "row":
+        grid[int(rng.integers(n))] = encode(code, rng.integers(0, pair.ctx.order, size=k))[:n]
+    gw = GridWord(grid)
+    assert local_membership(pair, r, gw) == reference_membership(pair, r, grid)
 
 
 def test_generator_csv_export(pair_q4):

@@ -1,5 +1,8 @@
 """Field arithmetic: constructor rules, scalar ops, vectorized ops, polynomials."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,73 @@ def test_mul_arr_matches_scalar_mul(m):
     pw = ctx.pow_arr(a, e)
     for i in range(len(a)):
         assert int(pw[i]) == ctx.pow(int(a[i]), int(e[i]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 14])
+def test_log_exp_arr_match_scalar_pow(m):
+    ctx = field_new(m)
+    rng = np.random.default_rng(50 + m)
+    a = rng.integers(1, ctx.order, size=300)
+    a[:2] = [1, ctx.order - 1]
+    logs = ctx.log_arr(a)
+    gen = int(ctx.exp_arr(1))
+    assert gen == ctx.generator
+    for x, lg in zip(a, logs):
+        assert 0 <= lg < ctx.order - 1
+        assert ctx.pow(gen, int(lg)) == int(x)
+    # any integer exponent, negative ones included, is taken mod 2^M - 1
+    e = rng.integers(-3 * ctx.order, 3 * ctx.order, size=300)
+    got = ctx.exp_arr(e)
+    for ei, gi in zip(e, got):
+        assert int(gi) == ctx.pow(gen, int(ei) % (ctx.order - 1))
+    assert np.array_equal(ctx.exp_arr(logs), a)
+    with pytest.raises(ValueError):
+        ctx.log_arr([1, 0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 10])
+def test_mul_arr_zero_sentinel(m):
+    # zero in either factor lands in the zero tail of the exp table, at
+    # indices up to 4(q - 1) for 0 * 0
+    ctx = field_new(m)
+    elems = np.arange(ctx.order)
+    assert not np.any(ctx.mul_arr(elems, 0)) and not np.any(ctx.mul_arr(0, elems))
+    if m <= 4:
+        prod = ctx.mul_arr(elems[:, None], elems[None, :])
+        for a in ctx.elements():
+            for b in ctx.elements():
+                assert int(prod[a, b]) == ctx.mul(a, b)
+    assert np.array_equal(ctx.pow_arr([0, 0, 3 % ctx.order], [0, 2, 0]), [1, 0, 1])
+    with pytest.raises(ValueError):
+        ctx.inv_arr([1, 0])
+
+
+def test_tables_first_use_from_threads():
+    # concurrent first uses may each build the tables, but every caller
+    # gets a complete, correct pair
+    ctx = field_new(10)
+    rng = np.random.default_rng(6)
+    a = rng.integers(0, ctx.order, size=64)
+    b = rng.integers(0, ctx.order, size=64)
+    want = np.array([ctx.mul(int(x), int(y)) for x, y in zip(a, b)])
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(ctx.mul_arr(a, b)))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    for got in results:
+        assert np.array_equal(got, want)
 
 
 def test_ctx_serialization_roundtrip():
