@@ -24,22 +24,14 @@ import numpy as np
 from .codec import (
     CodeInstance,
     GridWord,
+    _grid_values,
     _line_predictions,
     _log_differences,
     encode,
     relabel,
     unrelabel,
 )
-from .field import (
-    FieldCtx,
-    mat_rank,
-    mat_solve,
-    poly_add,
-    poly_deriv,
-    poly_divmod,
-    poly_eval,
-    poly_scale,
-)
+from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
@@ -321,9 +313,7 @@ def sampled_distance(code: CodeInstance, trials: int, seed: int = 0) -> int:
         msgs = msgs[np.any(msgs != 0, axis=1)]
         if len(msgs) == 0:
             continue
-        words = np.zeros((len(msgs), code.length), dtype=np.int64)
-        for i in range(code.k):
-            words ^= code.ctx.mul_arr(msgs[:, i][:, None], code.G[i][None, :])
+        words = mat_mul(code.ctx, msgs, code.G)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
         done += len(msgs)
     return best
@@ -418,7 +408,7 @@ def _solve_core(
     y = np.zeros(int(known.sum()), dtype=np.int64) if values is None else values[known]
     if int(core.sum()) < code.k:
         h = code.H
-        rhs = np.bitwise_xor.reduce(ctx.mul_arr(h[:, known], y), axis=1)
+        rhs = mat_mul(ctx, h[:, known], y[:, None])[:, 0]
         status, x = mat_solve(ctx, h[:, core], rhs)
         if status == "unique" and values is not None:
             word = values.copy()
@@ -537,35 +527,40 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
 # Structural check behind the main lower bound
 # ---------------------------------------------------------------------------
 
-_SYNTHETIC_DIV_MAX_DEG = 1 << 10
+def _derivative_grid(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
+    """h' on the grid, entry (i, j) at Zf[i] + Zg[j], for the encoded
+    polynomial h = sum_l msg[l] basis_l.
+
+    In the tensor form h = sum_{a,b} M[a, b] g^a f^b with
+    M = sum_l msg[l] S_l.  Every term of an additive polynomial but the
+    linear one has an even degree, so g' = g_0 and f' = f_0 (the linear
+    coefficients), and in characteristic 2 the chain rule gives
+    h' = sum_{a,b} M'[a, b] g^a f^b with
+    M'[a, b] = g_0 M[a+1, b] [a even] + f_0 M[a, b+1] [b even],
+    whose grid values are A^T . M' . B as for the generator."""
+    ctx, pair, r = code.ctx, code.pair, code.r
+    msg = np.asarray(msg, dtype=np.int64)
+    m = mat_mul(ctx, msg[None], code.S.reshape(code.k, r * r)).reshape(r, r)
+    dm = np.zeros((r, r), dtype=np.int64)
+    dm[: r - 1 : 2] = ctx.mul_arr(m[1::2], pair.g.coeffs[0])
+    dm[:, : r - 1 : 2] ^= ctx.mul_arr(m[:, 1::2], pair.f.coeffs[0])
+    return _grid_values(pair, dm)
 
 
 def double_root_check(code: CodeInstance, msg: Sequence[int]) -> bool:
     """At every crossing of a zero grid-row and a zero grid-column, the
-    encoded univariate polynomial must vanish to order at least two."""
+    encoded univariate polynomial h must vanish to order at least two.
+
+    h is zero at such a crossing, so the root is double iff h' is zero
+    there too; h' comes from the tensor form (see _derivative_grid)."""
     if not any(msg):
         raise ValueError("message must be nonzero")
-    ctx = code.ctx
-    h = np.zeros(0, dtype=np.int64)
-    for coeff, basis in zip(msg, code.basis_polys):
-        h = poly_add(h, poly_scale(ctx, basis, int(coeff)))
     grid = relabel(code.pair, encode(code, msg)).entries
-    zero_rows = [i for i in range(code.n_frak) if not grid[i].any()]
-    zero_cols = [j for j in range(code.n_frak) if not grid[:, j].any()]
-    hp = poly_deriv(h)
-    confirm = len(h) - 1 <= _SYNTHETIC_DIV_MAX_DEG
-    for i in zero_rows:
-        for j in zero_cols:
-            alpha = code.pair.Zf[i] ^ code.pair.Zg[j]
-            if poly_eval(ctx, h, alpha) != 0 or poly_eval(ctx, hp, alpha) != 0:
-                return False
-            if confirm:
-                lin = np.array([alpha, 1], dtype=np.int64)
-                q1, r1 = poly_divmod(ctx, h, lin)
-                _, r2 = poly_divmod(ctx, q1, lin)
-                if len(r1) or len(r2):
-                    return False
-    return True
+    zero_rows = ~grid.any(axis=1)
+    zero_cols = ~grid.any(axis=0)
+    if not (zero_rows.any() and zero_cols.any()):
+        return True
+    return not _derivative_grid(code, msg)[np.ix_(zero_rows, zero_cols)].any()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import analysis, bounds, codec, verify
 from .degrees import degree_profile
+from .field import MAX_EXTENSION_DEGREE
 from .linearized import instantiate_standard
 
 FIGURES = {
@@ -263,8 +264,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _q_log(text: str) -> int:
+    """--q-log e, checked before any field is built: GF(2^(2e)) must not
+    exceed the largest supported extension degree."""
+    e = int(text)
+    top = MAX_EXTENSION_DEGREE // 2
+    if not 1 <= e <= top:
+        raise argparse.ArgumentTypeError(
+            f"must be in [1, {top}] (the field GF(2^(2e)) supports 2e <= "
+            f"{MAX_EXTENSION_DEGREE}), got {e}"
+        )
+    return e
+
+
 def _add_field_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--q-log", dest="q_log", type=int, required=True,
+    sp.add_argument("--q-log", dest="q_log", type=_q_log, required=True,
                     help="e with q = 2^e; the field is GF(2^(2e))")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)

@@ -1,5 +1,6 @@
-"""Concrete code instances: echelon basis polynomials, generator matrices
-over the evaluation grid, encoding, and the grid/flat coordinate maps.
+"""Concrete code instances: the tensor form of the echelon basis, generator
+matrices over the evaluation grid, encoding, and the grid/flat coordinate
+maps.
 
 A code instance of dimension k evaluates the k lowest-degree basis
 polynomials of the product span on the pairwise-sum point set.  The flat
@@ -19,26 +20,22 @@ from typing import Sequence
 import numpy as np
 
 from .degrees import DegreeProfile, _echelon, degree_profile
-from .field import (
-    FieldCtx,
-    mat_nullspace,
-    poly_divmod,
-    poly_eval,
-    poly_eval_many,
-    poly_from_roots,
-)
+from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_nullspace
 from .linearized import LinearizedPair
 
 
 @dataclass
 class CodeInstance:
-    """Immutable-by-convention bundle for one constructed code."""
+    """Immutable-by-convention bundle for one constructed code.
+
+    S[l] is the r x r coefficient matrix of basis polynomial l in the
+    products g^a f^b (see build_code); G is the k x n^2 generator."""
 
     pair: LinearizedPair
     r: int
     k: int
     profile: DegreeProfile
-    basis_polys: tuple[np.ndarray, ...]
+    S: np.ndarray
     G: np.ndarray
 
     @property
@@ -70,16 +67,23 @@ class GridWord:
     entries: np.ndarray  # n x n, entry (i, j) sits at flat index i*n + j
 
 
-# cap on the elements of one broadcast product in build_code and encode
-_BLOCK_ELEMS = 1 << 16
+def _grid_values(pair: LinearizedPair, s: np.ndarray) -> np.ndarray:
+    """A^T . s . B for coefficient matrices s (..., r, r), with
+    A[a, i] = Zf[i]^a and B[b, j] = Zg[j]^b: entry (i, j) is the value of
+    sum_{a,b} s[a, b] g^a f^b at the cell Zf[i] + Zg[j] (see build_code)."""
+    ctx = pair.ctx
+    expo = np.arange(s.shape[-1])[:, None]
+    a = ctx.pow_arr(np.array(pair.Zf, dtype=np.int64), expo)
+    b = ctx.pow_arr(np.array(pair.Zg, dtype=np.int64), expo)
+    return mat_mul(ctx, a.T, mat_mul(ctx, s, b))
 
 
 def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
     """C_k: the k lowest-degree echelon basis polynomials evaluated on the
-    grid; G[i][j] = basis_polys[i](eval_points[j]).
+    grid; G[l][i*n + j] is basis polynomial l at Zf[i] + Zg[j].
 
-    Computed in the tensor form rather than by evaluating polynomials of
-    degree up to 2(r-1)n: basis row l is sum_{a,b} S_l[a, b] g^a f^b (the
+    Computed in the tensor form rather than from polynomials of degree up
+    to 2(r-1)n: basis polynomial l is sum_{a,b} S_l[a, b] g^a f^b (the
     echelon transform), and at the cell Zf[i] + Zg[j] this takes the value
     sum_{a,b} Zf[i]^a S_l[a, b] Zg[j]^b, because f vanishes on Zf and g on
     Zg (so g(Zf[i]) = Zf[i] and f(Zg[j]) = Zg[j]).  Hence the grid image of
@@ -91,50 +95,21 @@ def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
         raise ValueError(f"need 1 <= r <= {n}, got r={r}")
     if not 1 <= k <= r * r:
         raise ValueError(f"need 1 <= k <= r^2 = {r * r}, got k={k}")
-    ctx = pair.ctx
     profile = degree_profile(n, r)
-    basis, s = _echelon(pair, r)
-    basis, s = basis[:k], s[:k]
-    for i, p in enumerate(basis):
-        if len(p) - 1 != profile.partial(i + 1):  # pragma: no cover
-            raise AssertionError("echelon degrees disagree with the profile")
-    expo = np.arange(r)[:, None]
-    a_t = ctx.pow_arr(np.array(pair.Zf, dtype=np.int64), expo).T  # n x r
-    b = ctx.pow_arr(np.array(pair.Zg, dtype=np.int64), expo)  # r x n
-    g = np.empty((k, n, n), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMS // (n * r * n))
-    for lo in range(0, k, step):
-        blk = s[lo : lo + step]
-        # (S_l . B)[a, j], then (A^T . S_l . B)[i, j], XOR-reducing over b, a
-        sb = np.bitwise_xor.reduce(ctx.mul_arr(blk[:, :, :, None], b), axis=2)
-        g[lo : lo + step] = np.bitwise_xor.reduce(
-            ctx.mul_arr(a_t[:, :, None], sb[:, None, :, :]), axis=2
-        )
-    return CodeInstance(pair, r, k, profile, tuple(basis), g.reshape(k, n * n))
-
-
-def _horner_generator(pair: LinearizedPair, basis_polys) -> np.ndarray:
-    """Reference for build_code: G by Horner evaluation of every basis
-    polynomial on the sum points.  Slow; used by the tests only."""
-    pts = np.array(pair.eval_points, dtype=np.int64)
-    g = np.zeros((len(basis_polys), len(pts)), dtype=np.int64)
-    for i, p in enumerate(basis_polys):
-        g[i] = poly_eval_many(pair.ctx, p, pts)
-    return g
+    rows = _echelon(pair, r)[:k]
+    maxdeg = rows.shape[1] - r * r - 1
+    # each row's leading coefficient is its first nonzero column
+    if not np.array_equal(maxdeg - np.argmax(rows != 0, axis=1), profile.D[:k]):
+        raise AssertionError("echelon degrees disagree with the profile")  # pragma: no cover
+    s = rows[:, maxdeg + 1 :].reshape(k, r, r).astype(np.int64)
+    g = _grid_values(pair, s)
+    return CodeInstance(pair, r, k, profile, s, g.reshape(k, n * n))
 
 
 def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
     if len(msg) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(msg)}")
-    m = np.asarray(msg, dtype=np.int64)[:, None]
-    word = np.empty(code.length, dtype=np.int64)
-    # column blocks keep the temporaries small enough to be reused, not
-    # mapped and faulted in afresh on every call
-    step = max(1, _BLOCK_ELEMS // code.k)
-    for lo in range(0, code.length, step):
-        cols = slice(lo, lo + step)
-        word[cols] = np.bitwise_xor.reduce(code.ctx.mul_arr(code.G[:, cols], m), axis=0)
-    return word
+    return mat_mul(code.ctx, np.asarray(msg, dtype=np.int64)[None], code.G)[0]
 
 
 def relabel(pair: LinearizedPair, word) -> GridWord:
@@ -152,32 +127,6 @@ def unrelabel(pair: LinearizedPair, gw: GridWord) -> np.ndarray:
     if gw.entries.shape != (n, n):
         raise ValueError(f"grid shape must be {(n, n)}")
     return gw.entries.reshape(n * n).copy()
-
-
-@functools.lru_cache(maxsize=32)
-def _interp_matrix(ctx: FieldCtx, points: tuple[int, ...]) -> np.ndarray:
-    """Lagrange interpolation as a matrix: coefficient vector (lowest
-    degree first) = values @ L, built from barycentric weights."""
-    ann = poly_from_roots(ctx, points)
-    n = len(points)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for m, x_m in enumerate(points):
-        quot, rem = poly_divmod(ctx, ann, np.array([x_m, 1], dtype=np.int64))
-        if len(rem):  # pragma: no cover
-            raise AssertionError("annihilator must vanish at its own roots")
-        w = ctx.inv(poly_eval(ctx, quot, x_m))
-        mat[m, : len(quot)] = ctx.mul_arr(quot, w)
-    return mat
-
-
-def interpolate(ctx: FieldCtx, points: Sequence[int], values) -> np.ndarray:
-    """Coefficients (lowest first, untrimmed length n) of the unique
-    degree < n polynomial through the given points.  Line repair and
-    local_membership use the barycentric _line_predictions instead; this
-    is the reference the tests hold it to."""
-    lm = _interp_matrix(ctx, tuple(points))
-    v = np.asarray(values, dtype=np.int64)
-    return np.bitwise_xor.reduce(ctx.mul_arr(lm, v[:, None]), axis=0)
 
 
 def _log_differences(ctx: FieldCtx, points) -> np.ndarray:
@@ -208,13 +157,14 @@ def _line_predictions(
     np.put_along_axis(sel, anchors, 1, axis=1)
     s = sel @ ld  # ld is symmetric with a zero diagonal
     out = np.empty(lines.shape, dtype=np.int64)
+    # blocks of lines bound the (lines, r, n) exponent arrays
     step = max(1, _BLOCK_ELEMS // (r * n))
     for lo in range(0, len(lines), step):
         blk = slice(lo, lo + step)
         a, sb = anchors[blk], s[blk]
         e = sb[:, None, :] - ld[a] - np.take_along_axis(sb, a, axis=1)[:, :, None]
         v = np.take_along_axis(lines[blk], a, axis=1)
-        out[blk] = np.bitwise_xor.reduce(ctx.mul_arr(v[:, :, None], ctx.exp_arr(e)), axis=1)
+        out[blk] = mat_mul(ctx, v[:, None, :], ctx.exp_arr(e))[:, 0]
     return out
 
 

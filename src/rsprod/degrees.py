@@ -3,7 +3,7 @@
 Two independent routes: a closed formula for the degree set, its sorted
 enumeration, and the breakpoint dimensions; and a symbolic row-echelon
 reduction of the expanded products, whose pivot degrees must coincide
-with the formula.  The codec uses the reduced basis rows directly.
+with the formula.  The codec uses the transform that the reduction carries.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ class DegreeProfile:
     """Degree bookkeeping for one (n, r) parameter pair.
 
     D is the attainable degree set in ascending order, so D[k-1] is the
-    k-th smallest attainable degree (``partials`` names the same tuple);
-    breakpoints holds (t, k_t, partial at k_t); intervals[t] is the t-th
-    contiguous run of degrees.
+    k-th smallest attainable degree; breakpoints holds (t, k_t, partial
+    at k_t); intervals[t] is the t-th contiguous run of degrees.
     """
 
     n_frak: int
@@ -34,10 +33,6 @@ class DegreeProfile:
     D: tuple[int, ...]
     breakpoints: tuple[tuple[int, int, int], ...]
     intervals: tuple[tuple[int, ...], ...]
-
-    @property
-    def partials(self) -> tuple[int, ...]:
-        return self.D
 
     def partial(self, k: int) -> int:
         if not 1 <= k <= len(self.D):
@@ -102,13 +97,14 @@ def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
     return mat, maxdeg
 
 
-def _echelon(pair: LinearizedPair, r: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Row-echelon basis of the product span with its transform.
+def _echelon(pair: LinearizedPair, r: int) -> np.ndarray:
+    """Row-echelon basis of the product span with its transform, one row
+    per basis polynomial, ascending by degree.
 
-    Returns (basis_polys, S), both ascending by degree: basis_polys[l] is
-    the trimmed coefficient array (lowest degree first) of basis row l, and
-    S[l] is its r x r coefficient matrix in the (g^a, f^b) order, i.e.
-    basis_polys[l] = sum_{a,b} S[l, a, b] g^a f^b.
+    Row l holds the coefficients of basis polynomial l in descending degree
+    order (2(r-1)n + 1 columns), then the r^2 entries of S_l, its r x r
+    coefficient matrix in the (g^a, f^b) order:
+    basis polynomial l = sum_{a,b} S_l[a, b] g^a f^b.
 
     Deterministic policy: pivot is the highest remaining degree, rows are
     eliminated downward only, and every pivot row is normalized monic.
@@ -133,17 +129,14 @@ def _echelon(pair: LinearizedPair, r: int) -> tuple[list[np.ndarray], np.ndarray
         if row != pr:
             mat[[pr, row]] = mat[[row, pr]]
         # rows pr.. are zero left of col, so only columns col.. change
-        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv(int(mat[pr, col])))
+        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv_arr(mat[pr, col]))
         below = pr + 1 + np.nonzero(mat[pr + 1 :, col])[0]
         if len(below):
             mat[below, col:] ^= ctx.mul_arr(
                 mat[below, col][:, None], mat[pr, col:][None, :]
             )
         pr += 1
-    pivots = mat[:pr][::-1]
-    # trimmed copies: a polynomial must not keep the echelon matrix alive
-    basis = [poly_trim(row[maxdeg::-1]).copy() for row in pivots]
-    return basis, pivots[:, maxdeg + 1 :].reshape(pr, r, r).astype(np.int64)
+    return mat[:pr][::-1]
 
 
 def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
@@ -153,14 +146,11 @@ def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
     first, with pairwise distinct degrees; see :func:`_echelon` for the
     pivot policy.
     """
-    return _echelon(pair, r)[0]
+    rows = _echelon(pair, r)
+    # trimmed copies: a polynomial must not keep the echelon matrix alive
+    return [poly_trim(row[-r * r - 1 :: -1]).copy() for row in rows]
 
 
 def ref_degree_oracle(pair: LinearizedPair, r: int) -> tuple[int, ...]:
     """Pivot degrees of the row-echelon reduction, ascending."""
     return tuple(len(p) - 1 for p in ref_basis(pair, r))
-
-
-def rank_check_B(pair: LinearizedPair, r: int) -> int:
-    """Rank of the expanded product coefficient matrix (contract: r^2)."""
-    return len(ref_basis(pair, r))

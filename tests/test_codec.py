@@ -14,13 +14,15 @@ from rsprod.codec import (
     build_code,
     encode,
     export_generator_csv,
-    interpolate,
     local_membership,
     relabel,
     unrelabel,
 )
+from rsprod.degrees import ref_basis
 from rsprod.field import mat_rank, poly_compose, poly_eval_many, bipoly_eval_many
 from rsprod.linearized import instantiate_standard
+
+from reference import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +57,17 @@ def test_full_product_code_q4_r2(pair_q4):
 
 def test_k1_generator_is_constant_row(pair_q4):
     code = build_code(pair_q4, 2, 1)
-    assert len(code.basis_polys[0]) == 1 and int(code.basis_polys[0][0]) == 1
+    basis = ref_basis(pair_q4, 2)
+    assert len(basis[0]) == 1 and int(basis[0][0]) == 1
+    assert np.array_equal(code.S, [[[1, 0], [0, 0]]])
     assert np.count_nonzero(code.G[0]) == 16
 
 
 def test_r3_k8_heavy_parity(pair_q4):
     code = build_code(pair_q4, 3, 8)
     assert code.heavy_parities == 1
-    assert len(code.basis_polys[-1]) - 1 == 12  # (2r - 3) * n
+    assert code.S.shape == (8, 3, 3)
+    assert len(ref_basis(pair_q4, 3)[code.k - 1]) - 1 == 12  # (2r - 3) * n
 
 
 def test_build_code_rejects_bad_params(pair_q4):

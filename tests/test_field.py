@@ -5,25 +5,29 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from rsprod import field
 from rsprod.field import (
     FieldCtx,
     bipoly_eval_many,
     field_new,
+    mat_mul,
     mat_nullspace,
     mat_rank,
     mat_solve,
     poly,
     poly_add,
     poly_compose,
-    poly_deriv,
     poly_divmod,
-    poly_eval,
     poly_eval_many,
     poly_from_roots,
     poly_mul,
 )
+
+from reference import poly_deriv, poly_eval
 
 
 def gf2_mul(a, b):
@@ -79,6 +83,10 @@ def test_wrong_degree_poly_rejected():
         field_new(0)
     with pytest.raises(ValueError):
         field_new(25)
+    # the largest degree is the largest one with log/exp tables
+    assert field.MAX_EXTENSION_DEGREE == 20
+    with pytest.raises(ValueError, match=r"\[1, 20\]"):
+        field_new(21)
 
 
 def test_mul_examples_gf16():
@@ -310,6 +318,63 @@ def test_poly_compose_agrees_with_pointwise_eval():
 
 
 # -- linear algebra ----------------------------------------------------------
+
+
+def scalar_mat_mul(ctx, a, b):
+    """a @ b with np.matmul broadcasting, by a triple loop of scalar mul."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for idx in np.ndindex(batch):
+        for i in range(a.shape[-2]):
+            for j in range(b.shape[-1]):
+                acc = 0
+                for t in range(a.shape[-1]):
+                    acc ^= ctx.mul(int(a[idx + (i, t)]), int(b[idx + (t, j)]))
+                out[idx + (i, j)] = acc
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m_deg=st.sampled_from([1, 2, 4, 8]),
+    batches=mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    block=st.sampled_from([1, 3, 16, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mat_mul_matches_scalar_triple_loop(m_deg, batches, dims, block, seed):
+    # broadcast batches, 1 x k . k x 1, inner dimension 1, and small block
+    # caps so that one product spans several blocks of batch, rows, columns
+    ctx = field_new(m_deg)
+    m, inner, n = dims
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b = batches.input_shapes
+    a = rng.integers(0, ctx.order, size=shape_a + (m, inner))
+    b = rng.integers(0, ctx.order, size=shape_b + (inner, n))
+    a[rng.random(a.shape) < 0.3] = 0
+    b[rng.random(b.shape) < 0.3] = 0
+    old = field._BLOCK_ELEMS
+    field._BLOCK_ELEMS = block
+    try:
+        got = mat_mul(ctx, a, b)
+    finally:
+        field._BLOCK_ELEMS = old
+    assert np.array_equal(got, scalar_mat_mul(ctx, a, b))
+
+
+def test_mat_mul_over_several_default_blocks():
+    ctx = field_new(8)
+    rng = np.random.default_rng(21)
+    a = rng.integers(0, 256, size=(1, 300))
+    b = rng.integers(0, 256, size=(300, 250))  # a 75,000-element temporary
+    b[:, :3] = 0
+    assert np.array_equal(mat_mul(ctx, a, b), scalar_mat_mul(ctx, a, b))
+    with pytest.raises(ValueError):
+        mat_mul(ctx, a, b.T)
+    with pytest.raises(ValueError):
+        mat_mul(ctx, a[0], b)
 
 
 def test_mat_rank_and_nullspace():

@@ -1,5 +1,7 @@
-"""Generator construction: pinned generator hashes, and the tensor-form
-build of G checked against Horner evaluation of the basis polynomials."""
+"""Generator construction: pinned generator hashes, the tensor-form build
+of G checked against Horner evaluation of the basis polynomials, and the
+tensor-form derivative of a codeword polynomial checked against the formal
+derivative."""
 
 import hashlib
 import json
@@ -9,11 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsprod.analysis import _derivative_grid
 from rsprod.cli import main
-from rsprod.codec import _horner_generator, build_code, export_generator_csv
-from rsprod.degrees import _echelon, degree_profile
-from rsprod.field import field_new, is_irreducible, poly_compose, smallest_irreducible
+from rsprod.codec import build_code, encode, export_generator_csv
+from rsprod.degrees import degree_profile, ref_basis
+from rsprod.field import (
+    field_new,
+    is_irreducible,
+    poly_compose,
+    poly_eval_many,
+    smallest_irreducible,
+)
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard, subfield
+
+from reference import encoded_poly, horner_generator, poly_deriv
 
 # SHA-256 of export_generator_csv for the standard pair, recorded with G built
 # by Horner evaluation of every basis polynomial on the sum points:
@@ -89,21 +100,42 @@ def pairs(draw):
     return instantiate_standard(e)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(pair=pairs(), data=st.data())
-def test_tensor_generator_matches_horner(pair, data):
+def draw_code(pair, data):
     n = pair.n_frak
     # r = 1 and r = n, else small r where Horner stays fast
     r = data.draw(st.sampled_from([1, n]) | st.integers(1, min(n, 6)), label="r")
     dims = degree_profile(n, r).breakpoint_dims
     k = data.draw(
-        st.sampled_from(sorted({1, r * r, *dims})) | st.integers(1, r * r), label="k"
+        st.sampled_from([r * r, 1]) | st.sampled_from(dims) | st.integers(1, r * r),
+        label="k",
     )
-    code = build_code(pair, r, k)
-    assert np.array_equal(code.G, _horner_generator(pair, code.basis_polys))
+    return build_code(pair, r, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_tensor_generator_matches_horner(pair, data):
+    code = draw_code(pair, data)
+    basis = ref_basis(pair, code.r)[: code.k]
+    assert np.array_equal(code.G, horner_generator(pair, basis))
     # the transform reproduces every basis polynomial from the products g^a f^b
-    basis, s = _echelon(pair, r)
     gx, fx = pair.g.to_unipoly(), pair.f.to_unipoly()
-    assert s.shape == (r * r, r, r)
-    for poly, s_l in zip(basis, s):
+    assert code.S.shape == (code.k, code.r, code.r)
+    for poly, s_l in zip(basis, code.S):
         assert np.array_equal(poly_compose(pair.ctx, s_l, gx, fx), poly)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_tensor_derivative_matches_formal_derivative(pair, data):
+    # h' on all n^2 cells from the tensor form against the formal
+    # derivative of h = sum_l msg[l] basis_l evaluated by Horner
+    code = draw_code(pair, data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    msg = rng.integers(0, code.ctx.order, size=code.k)
+    msg[int(rng.integers(code.k))] |= 1
+    h = encoded_poly(code, msg)
+    pts = np.array(pair.eval_points, dtype=np.int64)
+    assert np.array_equal(encode(code, msg), poly_eval_many(pair.ctx, h, pts))
+    want = poly_eval_many(pair.ctx, poly_deriv(h), pts)
+    assert np.array_equal(_derivative_grid(code, msg).reshape(-1), want)
