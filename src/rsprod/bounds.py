@@ -17,9 +17,6 @@ import numpy as np
 
 from .degrees import DegreeProfile, degree_profile
 
-# full 2-D witness scans up to here; the 1-D reduction beyond
-GRID_SCAN_LIMIT = 1 << 12
-
 
 def _check_k(r: int, k: int) -> None:
     if not 1 <= k <= r * r:
@@ -36,28 +33,17 @@ def lrc_upper(n: int, r: int, k: int) -> int:
 
 def grid_upper(n: int, r: int, k: int) -> tuple[int, tuple[int, int]]:
     """min over 0 <= a, b <= r with a*b >= r^2 - k + 1 of
-    (a + n - r)(b + n - r), with its minimizing (a, b)."""
+    (a + n - r)(b + n - r), with its lexicographically smallest minimizing
+    (a, b).  For each a the smallest feasible b is best, so one candidate per
+    a suffices, and min over (value, (a, b)) breaks ties toward the smallest
+    a."""
     _check_k(r, k)
     need = r * r - k + 1
-    if r <= GRID_SCAN_LIMIT:
-        side = np.arange(r + 1, dtype=np.int64)
-        ab = np.outer(side, side)
-        vals = np.outer(side + n - r, side + n - r)
-        big = vals.max() + 1
-        vals = np.where(ab >= need, vals, big)
-        flat = int(np.argmin(vals))
-        a, b = divmod(flat, r + 1)
-        return int(vals[a, b]), (int(a), int(b))
-    best: Optional[tuple[int, tuple[int, int]]] = None
+    candidates = []
     for a in range(max(1, -(-need // r)), r + 1):
-        b = -(-need // a)
-        if b > r:
-            continue
-        val = (a + n - r) * (b + n - r)
-        if best is None or val < best[0]:
-            best = (val, (a, b))
-    assert best is not None
-    return best
+        b = -(-need // a)  # at most r, since a >= need / r
+        candidates.append(((a + n - r) * (b + n - r), (a, b)))
+    return min(candidates)
 
 
 def gridv2_upper(n: int, r: int, k: int) -> Optional[int]:

@@ -81,24 +81,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
         return 0
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cols = [
-        "k",
-        "partial_k",
-        "rs_degree_lower",
-        "lower_opt",
-        "lrc_upper",
-        "grid_upper",
-        "gridv2_upper",
-        "exact",
-        "witness_a",
-        "witness_b",
-        "witness_nr",
-        "witness_nc",
-    ]
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else row[c] for c in cols])
+    # the csv module writes None as an empty cell
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     _emit(buf.getvalue(), args.out)
     return 0
 

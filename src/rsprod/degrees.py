@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import poly_mul, poly_trim
+from .field import _row_reduce, poly_mul, poly_trim
 from .linearized import LinearizedPair
 
-# row reduction is capped here; callers fall back to the formula beyond
-REF_MAX_RN = 1 << 13
+# cap on the cells of the echelon matrix, r^2 rows of 2(r-1)n + 1 + r^2
+# int32 entries (64 MiB); callers fall back to the formula beyond
+REF_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -111,32 +112,17 @@ def _echelon(pair: LinearizedPair, r: int) -> np.ndarray:
     """
     if not 1 <= r <= pair.n_frak:
         raise ValueError(f"need 1 <= r <= {pair.n_frak}, got r={r}")
-    if r * pair.n_frak > REF_MAX_RN:
+    cells = r * r * (2 * (r - 1) * pair.n_frak + 1 + r * r)
+    if cells > REF_MAX_CELLS:
         raise ValueError(
-            f"row reduction capped at r*n <= {REF_MAX_RN}; use the degree formula"
+            f"row reduction capped at {REF_MAX_CELLS} matrix cells; (n, r) = "
+            f"({pair.n_frak}, {r}) needs r^2 (2(r-1)n + 1 + r^2) = {cells}"
         )
-    ctx = pair.ctx
-    mat, maxdeg = _product_rows(pair, r)
-    nrows = mat.shape[0]
-    pr = 0
-    for col in range(maxdeg + 1):
-        if pr == nrows:
-            break
-        nz = np.nonzero(mat[pr:, col])[0]
-        if len(nz) == 0:
-            continue
-        row = pr + int(nz[0])
-        if row != pr:
-            mat[[pr, row]] = mat[[row, pr]]
-        # rows pr.. are zero left of col, so only columns col.. change
-        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv_arr(mat[pr, col]))
-        below = pr + 1 + np.nonzero(mat[pr + 1 :, col])[0]
-        if len(below):
-            mat[below, col:] ^= ctx.mul_arr(
-                mat[below, col][:, None], mat[pr, col:][None, :]
-            )
-        pr += 1
-    return mat[:pr][::-1]
+    mat, _ = _product_rows(pair, r)
+    # the r^2 products are independent, so every row pivots in a polynomial
+    # column and the transform columns are never scanned
+    _row_reduce(pair.ctx, mat, full=False)
+    return mat[::-1]
 
 
 def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:

@@ -417,32 +417,43 @@ def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(batch + (m, n))
 
 
+def _row_reduce(ctx: FieldCtx, mat: np.ndarray, full: bool) -> list[int]:
+    """Gaussian elimination in place, in the matrix's own integer dtype;
+    returns the pivot columns.  Each pivot is the first nonzero entry of its
+    column at or below the next pivot row, moved up and scaled to 1.  The
+    pivot policy: ``full`` clears its column above and below (reduced row
+    echelon form), otherwise only below."""
+    nrows, ncols = mat.shape
+    pivots: list[int] = []
+    for col in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        nz = np.nonzero(mat[pr:, col])[0]
+        if len(nz) == 0:
+            continue
+        row = pr + int(nz[0])
+        if row != pr:
+            mat[[pr, row]] = mat[[row, pr]]
+        # the pivot row is zero left of col, so only columns col.. change
+        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv_arr(mat[pr, col]))
+        if full:
+            others = np.nonzero(mat[:, col])[0]
+            others = others[others != pr]
+        else:
+            others = pr + 1 + np.nonzero(mat[pr + 1 :, col])[0]
+        if len(others):
+            mat[others, col:] ^= ctx.mul_arr(mat[others, col][:, None], mat[pr, col:][None, :])
+        pivots.append(col)
+    return pivots
+
+
 def mat_rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     r = np.array(a, dtype=np.int64, copy=True)
     if r.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    nrows, ncols = r.shape
-    pivots: list[int] = []
-    pr = 0
-    for col in range(ncols):
-        if pr == nrows:
-            break
-        nz = np.nonzero(r[pr:, col])[0]
-        if len(nz) == 0:
-            continue
-        row = pr + int(nz[0])
-        if row != pr:
-            r[[pr, row]] = r[[row, pr]]
-        # the pivot row is zero left of col, so only columns col.. change
-        r[pr, col:] = ctx.mul_arr(r[pr, col:], ctx.inv_arr(r[pr, col]))
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != pr]
-        if len(others):
-            r[others, col:] ^= ctx.mul_arr(r[others, col][:, None], r[pr, col:][None, :])
-        pivots.append(col)
-        pr += 1
-    return r, pivots
+    return r, _row_reduce(ctx, r, full=True)
 
 
 def mat_rank(ctx: FieldCtx, a: np.ndarray) -> int:
@@ -456,10 +467,8 @@ def mat_nullspace(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
     r, pivots = mat_rref(ctx, a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for pr, pc in enumerate(pivots):
-            basis[bi, pc] = int(r[pr, fc])
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = r[: len(pivots)][:, free].T
     return basis
 
 
@@ -473,8 +482,7 @@ def mat_solve(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[str, Optiona
     if ncols in pivots:
         return "inconsistent", None
     x = np.zeros(ncols, dtype=np.int64)
-    for pr, pc in enumerate(pivots):
-        x[pc] = int(r[pr, ncols])
+    x[pivots] = r[: len(pivots), ncols]
     if len(pivots) < ncols:
         return "multiple", x
     return "unique", x

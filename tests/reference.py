@@ -1,6 +1,7 @@
-"""Univariate reference implementations that the tests hold the tensor-form
-code to: Horner evaluation, formal derivatives, Lagrange interpolation, the
-Horner-built generator and the univariate double-root check.
+"""Reference implementations that the tests hold the package to: Horner
+evaluation, formal derivatives, Lagrange interpolation, the Horner-built
+generator and the univariate double-root check for the tensor-form code, and
+the full 2-D scan for the grid bound.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -120,3 +121,14 @@ def univariate_double_root_check(code, msg) -> bool:
                 if len(r1) or len(r2):
                     return False
     return True
+
+
+def grid_upper_scan(n: int, r: int, k: int) -> tuple[int, tuple[int, int]]:
+    """The grid bound by a scan of all (a, b) in [0, r]^2: the value and the
+    row-major first minimizer among a*b >= r^2 - k + 1."""
+    need = r * r - k + 1
+    side = np.arange(r + 1, dtype=np.int64)
+    vals = np.outer(side + n - r, side + n - r)
+    vals = np.where(np.outer(side, side) >= need, vals, vals.max() + 1)
+    a, b = divmod(int(np.argmin(vals)), r + 1)
+    return int(vals[a, b]), (a, b)

@@ -32,7 +32,7 @@ from rsprod.analysis import (
 from rsprod.bounds import exact_distance
 from rsprod.cli import main
 from rsprod.codec import _log_differences, build_code, encode, relabel
-from rsprod.field import field_new, mat_nullspace, poly_eval_many
+from rsprod.field import field_new, mat_nullspace, mat_solve, poly_eval_many
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
 
 from reference import interpolate
@@ -549,6 +549,9 @@ def test_peel_residual_is_mask_core(e, r, k, data):
         assert np.array_equal(res.word, word)
     else:
         assert np.array_equal(res.residual.erased, core)
+    # the global fallback against the solve on all survivors
+    surv = ~mask.flat()
+    assert res.ok == (mat_solve(code.ctx, code.G[:, surv].T, word[surv])[0] == "unique")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

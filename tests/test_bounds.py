@@ -18,6 +18,8 @@ from rsprod.bounds import (
 )
 from rsprod.degrees import degree_profile
 
+from reference import grid_upper_scan
+
 
 def test_lrc_upper_examples():
     assert lrc_upper(4, 2, 3) == 12
@@ -35,18 +37,10 @@ def test_grid_upper_examples():
 
 
 def test_grid_upper_one_dim_reduction_matches_scan():
-    import rsprod.bounds as bounds
-
-    for n, r in ((16, 5), (32, 8)):
-        for k in range(1, r * r + 1):
-            full = grid_upper(n, r, k)
-            old = bounds.GRID_SCAN_LIMIT
-            bounds.GRID_SCAN_LIMIT = 0
-            try:
-                reduced = grid_upper(n, r, k)
-            finally:
-                bounds.GRID_SCAN_LIMIT = old
-            assert full[0] == reduced[0]
+    for n in (2, 4, 8, 16, 32):
+        for r in range(1, n + 1):
+            for k in range(1, r * r + 1):
+                assert grid_upper(n, r, k) == grid_upper_scan(n, r, k), (n, r, k)
 
 
 def test_gridv2_upper_examples():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rsprod import analysis, bounds, verify
 from rsprod.cli import main
 from rsprod.degrees import degree_profile
 from rsprod.verify import check_field_axioms
@@ -240,6 +241,34 @@ def test_erasure_sim_golden_stdout(capsys, flags, recoverable, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Byte-exact stdout of the commands that erasure-sim and build do not cover:
+# sha256 of stdout, then the command line.
+CLI_GOLDENS = """
+7dae421a73cf6404c99640c2687f16f2cfd6b4cce3b9023c9dd5ed7de7b98e62 bounds --n 32 --r 8 --k 1..64 --format csv
+4fdf303d6882a943280265a519fa605761d0de1e1e43442e51599a17da76dba7 bounds --n 32 --r 8 --k 1..64 --format json
+7ea68ad845b9f5e09da5f74a4bd5c8e5755ead4024d9c4a32f3a6f02186759d0 bounds --n 128 --r 64 --k 4032 --format csv
+7456c588e4b1940d415df5e55aec2e1124cf6b4bdec9180b43c710d845536843 bounds --n 128 --r 64 --k 4032 --format json
+b04e8a28cbcbb164db7ebb3ba4e715dc85697b67f17c25b38578a393581ce335 figure --name eg1
+69a4ea00845bd0fc66441e926409efa8279ea02cdf2a12de8faf47a70826c4ef figure --name eg2a
+81fbfc0c1b9ee95189f30548835955769a5f2e043e3df1c6c83f0ea865bedd87 figure --name eg2b
+1f1c6323154c7f6cc801087b1a55cec90d0af71fee489d1bd89261ff3860a547 figure --name eg3
+0cb97abc420dc37a2a1942a67ff56a27613ac29d4c45ed2be7de3c7455b52bb0 profile --n 4 --r 3
+1a38a8d7e0f21100f17fa4c21f3f5aef6eb6b35f69500101d30e83c983708ec2 profile --n 32 --r 8
+c7079781e2225ba3f7bdbb0cc13f4ac29fe7fb2b625c3c6f205fcc0b6078a5c2 encode --q-log 2 --r 2 --k 3 --msg 1,0,7
+aa1b56953b35b36f9c83177fd53edaf9d52f94e89d088af502a27b2b63a1e9da encode --q-log 3 --r 5 --k 20 --msg 1,2,3,4,5,6,7,8,9,a,b,c,d,e,f,10,11,12,13,3f
+c7b55e3639a27414e23d0b37d1a1dbb7090f1b0e30454ef759f464552a656efa distance --q-log 2 --r 2 --k 4 --spectrum
+8ed85626bc1b06739ab8fa2e91a601dbb0ab6a9bb62d25a2274e8393e6642c98 verify --level fast
+""".strip().split("\n")
+
+
+@pytest.mark.parametrize("digest,argv", [line.split(" ", 1) for line in CLI_GOLDENS],
+                         ids=[line.split(" ", 1)[1] for line in CLI_GOLDENS])
+def test_cli_golden_stdout(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_figure_output(capsys):
     code, out, _ = run_cli(capsys, "figure", "--name", "eg1")
     assert code == 0
@@ -305,6 +334,39 @@ def test_verify_detects_corrupted_field():
     ctx.reduction_poly = 0b10101  # reducible: breaks inverse roundtrip
     msg = check_field_axioms(ctx, np.random.default_rng(0))
     assert msg is not None and "field axiom" in msg
+
+
+def _peel_check(trials):
+    return lambda: verify._check_peel_consistency(((2, 2, 3),), np.random.default_rng(0), trials)
+
+
+# (check, module and function to corrupt, corruption of its return value)
+VERIFY_FAULTS = [
+    pytest.param(lambda: verify._check_degree_oracle((1,)), verify, "ref_degree_oracle",
+                 lambda out: out[:-1] + (-1,), id="degree-oracle"),
+    pytest.param(lambda: verify._check_diagram((1,), np.random.default_rng(0), per_r=1),
+                 verify, "bipoly_eval_many", lambda out: out ^ 1, id="diagram"),
+    pytest.param(_peel_check(20), analysis, "erasure_recoverable", lambda out: not out,
+                 id="peel-verdict"),
+    pytest.param(_peel_check(20), analysis, "peel_decode",
+                 lambda out: analysis.PeelResult(out.word ^ 1, None) if out.ok else out,
+                 id="peel-decoder"),
+    pytest.param(_peel_check(0), analysis, "erasure_recoverable", lambda out: True,
+                 id="peel-stopping-set"),
+    pytest.param(lambda: verify._check_distances("d", verify.SMALL_DISTANCES, threads=1),
+                 analysis, "exhaustive_distance", lambda out: (out[0] + 1, out[1]), id="distances"),
+    pytest.param(lambda: verify._check_bound_ordering(((8, 4),)), bounds, "lower_opt",
+                 lambda out: (out[0] + 1000, out[1]), id="bound-ordering"),
+]
+
+
+@pytest.mark.parametrize("check,module,attr,corrupt", VERIFY_FAULTS)
+def test_verify_check_fails_on_injected_fault(monkeypatch, check, module, attr, corrupt):
+    assert check().ok
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *a, **kw: corrupt(real(*a, **kw)))
+    res = check()
+    assert not res.ok and res.detail
 
 
 def test_console_entry_point():

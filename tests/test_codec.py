@@ -19,8 +19,9 @@ from rsprod.codec import (
     unrelabel,
 )
 from rsprod.degrees import ref_basis
-from rsprod.field import mat_rank, poly_compose, poly_eval_many, bipoly_eval_many
+from rsprod.field import mat_rank, poly_compose, poly_eval_many
 from rsprod.linearized import instantiate_standard
+from rsprod.verify import _check_diagram
 
 from reference import interpolate
 
@@ -143,21 +144,8 @@ def test_local_membership_edge_cases(pair_q4):
 def test_diagram_commutes(e):
     # composed univariate evaluation equals direct bivariate evaluation,
     # exhaustively over the grid
-    pair = instantiate_standard(e)
-    ctx = pair.ctx
-    n = pair.n_frak
-    pts = np.array(pair.eval_points, dtype=np.int64)
-    betas = np.repeat(np.array(pair.Zf, dtype=np.int64), n)
-    gammas = np.tile(np.array(pair.Zg, dtype=np.int64), n)
-    gx, fx = pair.g.to_unipoly(), pair.f.to_unipoly()
-    rng = np.random.default_rng(40 + e)
-    for r in range(1, n + 1):
-        for _ in range(20):
-            s = rng.integers(0, ctx.order, size=(r, r))
-            h = poly_compose(ctx, s, gx, fx)
-            left = bipoly_eval_many(ctx, s, betas, gammas)
-            right = poly_eval_many(ctx, h, pts)
-            assert np.array_equal(left, right)
+    res = _check_diagram((e,), np.random.default_rng(40 + e), per_r=20)
+    assert res.ok, res.detail
 
 
 def test_compose_of_sum_is_identity(pair_q4):

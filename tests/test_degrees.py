@@ -114,14 +114,27 @@ def test_ref_basis_is_monic_sorted_distinct():
     assert len(basis) == 9
 
 
-def test_ref_cap():
-    pair = instantiate_standard(2)
+def test_ref_cap(monkeypatch, capsys):
     import rsprod.degrees as degrees
+    from rsprod.cli import main
 
-    old = degrees.REF_MAX_RN
-    degrees.REF_MAX_RN = 4
-    try:
-        with pytest.raises(ValueError, match="capped"):
-            ref_basis(pair, 3)
-    finally:
-        degrees.REF_MAX_RN = old
+    # r = 3 at n = 4: 9 rows of 2*2*4 + 1 + 9 = 26 cells
+    pair = instantiate_standard(2)
+    monkeypatch.setattr(degrees, "REF_MAX_CELLS", 9 * 26)
+    assert len(ref_basis(pair, 3)) == 9
+    monkeypatch.setattr(degrees, "REF_MAX_CELLS", 9 * 26 - 1)
+    with pytest.raises(ValueError, match="capped"):
+        ref_basis(pair, 3)
+    # at the real cap (n, r) = (64, 32) is built, (64, 64) and (128, 64)
+    # are refused before their 199 and 331 MB matrices exist
+    monkeypatch.undo()
+    rows = degrees._echelon(instantiate_standard(6), 32)
+    assert rows.shape == (32 * 32, 2 * 31 * 64 + 1 + 32 * 32)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the echelon matrix must not be built")
+
+    monkeypatch.setattr(degrees, "_product_rows", fail)
+    for q_log in ("6", "7"):
+        assert main(["build", "--q-log", q_log, "--r", "64", "--k", "1"]) == 2
+        assert "error: row reduction capped" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Field arithmetic: constructor rules, scalar ops, vectorized ops, polynomials."""
 
+import itertools
 import sys
 import threading
 
@@ -17,6 +18,7 @@ from rsprod.field import (
     mat_mul,
     mat_nullspace,
     mat_rank,
+    mat_rref,
     mat_solve,
     poly,
     poly_add,
@@ -417,3 +419,61 @@ def test_mat_solve_statuses():
     assert status == "multiple"
     status, _ = mat_solve(ctx, a2, np.array([1, 2], dtype=np.int64))
     assert status == "inconsistent"
+
+
+def all_vectors(ctx, length):
+    """Every vector of F^length, one per row (one empty row for length 0)."""
+    return np.array(list(itertools.product(range(ctx.order), repeat=length)), dtype=np.int64)
+
+
+def combos(ctx, coeffs, mat):
+    """coeffs @ mat, one row per coefficient vector, by elementwise products."""
+    out = np.zeros((len(coeffs), mat.shape[1]), dtype=np.int64)
+    for i in range(mat.shape[0]):
+        out ^= ctx.mul_arr(coeffs[:, i : i + 1], mat[i])
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m_deg=st.sampled_from([1, 2, 4]),
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    consistent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_nullspace_solve_against_brute_force(m_deg, shape, consistent, seed):
+    ctx = field_new(m_deg)
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = shape
+    # rank at most inner, with some rows and columns zeroed
+    a = scalar_mat_mul(
+        ctx, rng.integers(0, ctx.order, (rows, inner)), rng.integers(0, ctx.order, (inner, cols))
+    )
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    r, pivots = mat_rref(ctx, a)
+    rank = len(pivots)
+    # reduced: each pivot is its row's leading 1 and alone in its column
+    assert pivots == sorted(set(pivots)) and not r[rank:].any()
+    for i, p in enumerate(pivots):
+        assert not r[i, :p].any() and r[i, p] == 1 and np.count_nonzero(r[:, p]) == 1
+    # row-equivalent: the same row space, of |F|^rank vectors
+    space = {tuple(v) for v in combos(ctx, all_vectors(ctx, rows), a)}
+    assert space == {tuple(v) for v in combos(ctx, all_vectors(ctx, rows), r)}
+    assert len(space) == ctx.order**rank
+    # the nullspace rows are the identity on the free columns, hence
+    # independent, and a annihilates them
+    ns = mat_nullspace(ctx, a)
+    free = [c for c in range(cols) if c not in pivots]
+    assert ns.shape == (cols - rank, cols)
+    assert np.array_equal(ns[:, free], np.eye(len(free), dtype=np.int64))
+    assert not scalar_mat_mul(ctx, a, ns.T).any()
+    if consistent:
+        b = scalar_mat_mul(ctx, a, rng.integers(0, ctx.order, (cols, 1)))[:, 0]
+    else:
+        b = rng.integers(0, ctx.order, rows)
+    solutions = int(np.all(combos(ctx, all_vectors(ctx, cols), a.T) == b, axis=1).sum())
+    status, x = mat_solve(ctx, a, b)
+    assert status == {0: "inconsistent", 1: "unique"}.get(solutions, "multiple")
+    if x is not None:
+        assert np.array_equal(scalar_mat_mul(ctx, a, x[:, None])[:, 0], b)
