@@ -8,6 +8,10 @@ multiple of one generator row into the running partial codeword; the
 lowest digits are expanded once into a vectorized span block.  When a
 whole codeword fits in 64 bits the block is bit-packed and weights come
 from a popcount, otherwise symbols stay in a small unsigned dtype.
+
+Every code here is invariant under the translations of its evaluation
+points, a group transitive on the coordinates, so a spectrum needs only the
+|F|^(k-1) words with c_0 = 1: w A_w = n^2 (|F| - 1) N_w.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .codec import (
     _line_predictions,
     _log_differences,
     encode,
+    in_code,
     relabel,
     unrelabel,
 )
@@ -238,39 +243,72 @@ def _spectrum_worker(payload: dict) -> np.ndarray:
     ctx = FieldCtx(payload["m"], payload["poly"])
     rows = np.array(payload["rows"], dtype=np.int64)
     top = np.array(payload["top_row"], dtype=np.int64)
-    length = rows.shape[1] if len(rows) else len(top)
+    base = np.array(payload["base"], dtype=np.int64)
+    length = len(base)
     counts = np.zeros(length + 1, dtype=np.int64)
     for v in payload["values"]:
-        base = ctx.mul_arr(top, v)
-        counts += _spectrum_over(ctx, rows, length, base)
+        counts += _spectrum_over(ctx, rows, length, base ^ ctx.mul_arr(top, v))
     return counts
 
 
-def _span_spectrum(
+def _slice_spectrum(
     ctx: FieldCtx, rows: np.ndarray, workers: int = 1
-) -> np.ndarray:
+) -> dict[int, int]:
+    """Weight spectrum {w: A_w}, ascending, of the span of the linearly
+    independent ``rows``, from the |F|^(k-1) words with c_0 = 1 alone.
+
+    Every span handed in here (C_k and its dual) is invariant under the
+    translations alpha -> alpha + t of the evaluation points, a group that
+    is transitive on the coordinates.  So each coordinate is nonzero in
+    equally many weight-w words, (|F| - 1) N_w of them with N_w the
+    weight-w words with c_0 = 1, and counting the pairs (word, nonzero
+    coordinate) gives w A_w = length (|F| - 1) N_w.  The words with
+    c_0 = 1 are base + span(others): base is a row nonzero at coordinate 0
+    scaled to 1 there, and the others are the remaining rows with
+    coordinate 0 cleared."""
     rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        return {0: 1}
+    q = ctx.order
     length = rows.shape[1]
+    lead = np.flatnonzero(rows[:, 0])
+    if len(lead) == 0:
+        raise AssertionError("no row is nonzero at coordinate 0")
+    base = ctx.mul_arr(rows[lead[0]], ctx.inv(int(rows[lead[0], 0])))
+    others = np.delete(rows, lead[0], axis=0)
+    others ^= ctx.mul_arr(others[:, :1], base)
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(rows) < 2:
-        return _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
-    chunks = np.array_split(np.arange(ctx.order), workers)
-    payloads = [
-        {
-            "m": ctx.extension_degree,
-            "poly": ctx.reduction_poly,
-            "rows": rows[:-1].tolist(),
-            "top_row": rows[-1].tolist(),
-            "values": chunk.tolist(),
-        }
-        for chunk in chunks
-        if len(chunk)
-    ]
-    counts = np.zeros(length + 1, dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        for part in pool.map(_spectrum_worker, payloads):
-            counts += part
-    return counts
+    if workers <= 1 or len(others) < 2:
+        counts = _spectrum_over(ctx, others, length, base)
+    else:
+        chunks = np.array_split(np.arange(q), workers)
+        payloads = [
+            {
+                "m": ctx.extension_degree,
+                "poly": ctx.reduction_poly,
+                "rows": others[:-1].tolist(),
+                "top_row": others[-1].tolist(),
+                "base": base.tolist(),
+                "values": chunk.tolist(),
+            }
+            for chunk in chunks
+            if len(chunk)
+        ]
+        counts = np.zeros(length + 1, dtype=np.int64)
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            for part in pool.map(_spectrum_worker, payloads):
+                counts += part
+    if counts[0]:
+        raise AssertionError("a word with c_0 = 1 has weight 0")
+    spectrum = {0: 1}
+    for w in np.flatnonzero(counts):
+        a_w, rem = divmod(length * (q - 1) * int(counts[w]), int(w))
+        if rem:
+            raise AssertionError(f"weight {w} does not divide its slice count")
+        spectrum[int(w)] = a_w
+    if sum(spectrum.values()) != q ** len(rows):
+        raise AssertionError("slice spectrum has the wrong total")
+    return spectrum
 
 
 def exhaustive_distance(
@@ -278,8 +316,10 @@ def exhaustive_distance(
 ) -> tuple[int, WeightSpectrum]:
     """Exact minimum nonzero weight and full spectrum of the code.
 
-    Enumerates the whole |F|^k message space; raises BudgetExceeded when
-    that exceeds the budget so callers can fall back to sampling.
+    The spectrum comes from one translation slice of |F|^(k-1) words (see
+    _slice_spectrum).  The budget still bounds the whole message space
+    |F|^k, so which codes count as in budget does not depend on the
+    method; over it, BudgetExceeded lets callers fall back to sampling.
     """
     size = code.ctx.order ** code.k
     if size > budget:
@@ -287,16 +327,15 @@ def exhaustive_distance(
             f"budget exceeded: |F|^k = {size} > {budget}; "
             "raise the budget or fall back to sampled_distance"
         )
-    if size > DEFAULT_BUDGET:
+    enumerated = size // code.ctx.order
+    if enumerated > DEFAULT_BUDGET:
         warnings.warn(
-            f"exhaustive enumeration of {size} codewords; expect minutes of runtime",
+            f"exhaustive enumeration of {enumerated} codewords (one translation "
+            f"slice of {size}); expect minutes of runtime",
             RuntimeWarning,
             stacklevel=2,
         )
-    counts = _span_spectrum(code.ctx, code.G, workers=workers)
-    spectrum = WeightSpectrum(
-        {w: int(c) for w, c in enumerate(counts) if c}, exact=True
-    )
+    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, code.G, workers), exact=True)
     return spectrum.min_nonzero_weight(), spectrum
 
 
@@ -350,8 +389,9 @@ def macwilliams_transform(counts: dict[int, int], n: int, q: int) -> dict[int, i
 def spectrum_via_dual(
     code: CodeInstance, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightSpectrum:
-    """Exact spectrum obtained by exhaustively enumerating the dual code
-    and transforming; useful when the code itself is over budget."""
+    """Exact spectrum obtained by enumerating one translation slice of the
+    dual code (see _slice_spectrum) and transforming; useful when the code
+    itself is over budget.  The budget bounds the whole dual, |F|^(n^2-k)."""
     ctx = code.ctx
     dual = code.H
     size = ctx.order ** len(dual)
@@ -359,8 +399,7 @@ def spectrum_via_dual(
         raise BudgetExceeded(
             f"dual enumeration needs {size} words, over budget {budget}"
         )
-    counts = _span_spectrum(ctx, dual, workers=workers)
-    dual_counts = {w: int(c) for w, c in enumerate(counts) if c}
+    dual_counts = _slice_spectrum(ctx, dual, workers)
     primal = macwilliams_transform(dual_counts, code.length, ctx.order)
     expected = ctx.order ** code.k
     if sum(primal.values()) != expected:  # pragma: no cover
@@ -495,8 +534,9 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     symbols is interpolated and filled, all rows of a pass at once and then
     all columns.  What peeling leaves is the peeling core E' of the mask,
     and a global solve in its cells finishes it off, on the parity checks
-    when |E'| < k and on the generator otherwise (see erasure_recoverable).
-    Known symbols that fit no codeword raise ValueError; an ambiguous core
+    when |E'| < k and on the generator otherwise (see erasure_recoverable);
+    a grid that peeling fills alone must pass codec.in_code.  Known symbols
+    that fit no codeword raise ValueError; an ambiguous core
     returns no word and E' as the residual."""
     pair = code.pair
     n = code.n_frak
@@ -513,14 +553,19 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     while progress and erased.any():
         progress = _fill_lines(ctx, code.r, ld_rows, grid, erased)
         progress |= _fill_lines(ctx, code.r, ld_cols, grid.T, erased.T)
-    if not erased.any():
-        return PeelResult(unrelabel(pair, GridWord(grid)), None, used_global=False)
-    status, full = _solve_core(code, erased.reshape(-1), grid.reshape(-1))
+    used_global = bool(erased.any())
+    if used_global:
+        status, full = _solve_core(code, erased.reshape(-1), grid.reshape(-1))
+    else:
+        # peeling forced every filled cell, so the grid is the only
+        # candidate; lines without an erasure were never checked
+        status = "unique" if in_code(code, grid) else "inconsistent"
+        full = unrelabel(pair, GridWord(grid))
     if status == "inconsistent":
         raise ValueError("surviving symbols are not consistent with any codeword")
     if status == "unique":
-        return PeelResult(full, None, used_global=True)
-    return PeelResult(None, ErasureMask(n, erased), used_global=True)
+        return PeelResult(full, None, used_global)
+    return PeelResult(None, ErasureMask(n, erased), used_global)
 
 
 # ---------------------------------------------------------------------------

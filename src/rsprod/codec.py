@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .degrees import DegreeProfile, _echelon, degree_profile
-from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_nullspace
+from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_nullspace, mat_rref
 from .linearized import LinearizedPair
 
 
@@ -61,21 +61,75 @@ class CodeInstance:
         kept, never by build_code."""
         return mat_nullspace(self.ctx, self.G)
 
+    @functools.cached_property
+    def Phi(self) -> np.ndarray:
+        """Checks on message matrices, (r^2 - k) x r^2: an r x r matrix M
+        lies in the span of the S_l iff Phi @ vec(M) = 0.  Built on first
+        use and kept."""
+        r = self.r
+        return mat_nullspace(self.ctx, self.S.reshape(self.k, r * r))
+
+    @functools.cached_property
+    def corner_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P, Q, Phi_C), which decide membership in C_k from the r x r
+        corner C = grid[:r, :r] (see in_code).  Built on first use and kept.
+
+        A grid A^T . M . B (see build_code) has C = A_r^T . M . B_r, where
+        the first r columns A_r, B_r of A and B are invertible Vandermonde
+        matrices, so M = A_r^-T . C . B_r^-1 and the grid is
+        (A^T . A_r^-T) . C . Q with Q = B_r^-1 . B.  The first r rows of
+        A^T . A_r^-T are the identity and P is the other n - r.  Phi_C
+        carries the checks Phi over to the corner: row l is
+        vec(A_r^-1 . Phi_l . B_r^-T), so Phi_C . vec(C) = Phi . vec(M)."""
+        ctx, r = self.ctx, self.r
+        a, b = _power_tables(self.pair, r)
+        eye = np.eye(r, dtype=np.int64)
+        a_inv, b_inv = (
+            mat_rref(ctx, np.concatenate([v[:, :r], eye], axis=1))[0][:, r:]
+            for v in (a, b)
+        )
+        p = mat_mul(ctx, a[:, r:].T, a_inv.T)
+        q = mat_mul(ctx, b_inv, b)
+        phi = self.Phi.reshape(-1, r, r)
+        phi_c = mat_mul(ctx, a_inv, mat_mul(ctx, phi, b_inv.T)).reshape(-1, r * r)
+        return p, q, phi_c
+
 
 @dataclass
 class GridWord:
     entries: np.ndarray  # n x n, entry (i, j) sits at flat index i*n + j
 
 
+def _power_tables(pair: LinearizedPair, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A[a, i] = Zf[i]^a and B[b, j] = Zg[j]^b for a, b < r."""
+    ctx = pair.ctx
+    expo = np.arange(r)[:, None]
+    a = ctx.pow_arr(np.array(pair.Zf, dtype=np.int64), expo)
+    b = ctx.pow_arr(np.array(pair.Zg, dtype=np.int64), expo)
+    return a, b
+
+
 def _grid_values(pair: LinearizedPair, s: np.ndarray) -> np.ndarray:
     """A^T . s . B for coefficient matrices s (..., r, r), with
     A[a, i] = Zf[i]^a and B[b, j] = Zg[j]^b: entry (i, j) is the value of
     sum_{a,b} s[a, b] g^a f^b at the cell Zf[i] + Zg[j] (see build_code)."""
-    ctx = pair.ctx
-    expo = np.arange(s.shape[-1])[:, None]
-    a = ctx.pow_arr(np.array(pair.Zf, dtype=np.int64), expo)
-    b = ctx.pow_arr(np.array(pair.Zg, dtype=np.int64), expo)
-    return mat_mul(ctx, a.T, mat_mul(ctx, s, b))
+    a, b = _power_tables(pair, s.shape[-1])
+    return mat_mul(pair.ctx, a.T, mat_mul(pair.ctx, s, b))
+
+
+def in_code(code: CodeInstance, grid: np.ndarray) -> bool:
+    """Whether a full n x n grid is a codeword of C_k, in O(r n^2) field
+    products and without H.  The r x r corner C fixes the only candidate
+    message matrix M (see CodeInstance.corner_maps): the grid is in the
+    product code iff its first r rows are C . Q and the others P . C . Q,
+    and then in C_k iff M lies in the span of the S_l, Phi_C . vec(C) = 0."""
+    ctx, r = code.ctx, code.r
+    p, q, phi_c = code.corner_maps
+    corner = grid[:r, :r]
+    top = mat_mul(ctx, corner, q)
+    if not (np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])):
+        return False
+    return not mat_mul(ctx, phi_c, corner.reshape(r * r, 1)).any()
 
 
 def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the package to: Horner
 evaluation, formal derivatives, Lagrange interpolation, the Horner-built
-generator and the univariate double-root check for the tensor-form code, and
-the full 2-D scan for the grid bound.
+generator and the univariate double-root check for the tensor-form code, the
+full 2-D scan for the grid bound, and the enumeration of a whole span for
+the one-slice spectra.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -14,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from rsprod.analysis import _spectrum_over
 from rsprod.codec import encode, relabel
 from rsprod.degrees import ref_basis
 from rsprod.field import (
@@ -132,3 +134,12 @@ def grid_upper_scan(n: int, r: int, k: int) -> tuple[int, tuple[int, int]]:
     vals = np.where(np.outer(side, side) >= need, vals, vals.max() + 1)
     a, b = divmod(int(np.argmin(vals)), r + 1)
     return int(vals[a, b]), (a, b)
+
+
+def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
+    """Weight spectrum {w: A_w}, ascending, of the span of ``rows`` by
+    enumerating all |F|^len(rows) combinations from the zero word."""
+    rows = np.asarray(rows, dtype=np.int64)
+    length = rows.shape[1]
+    counts = _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
+    return {w: int(c) for w, c in enumerate(counts) if c}

@@ -122,13 +122,14 @@ def test_criterion_6_degree_bound_near_upper_bound():
     for n, r in ((32, 16), (128, 64)):
         assert n // r >= 2 and n >= 32
         prof = degree_profile(n, r)
-        for _, k_t, _ in prof.breakpoints:
-            if k_t * 100 <= 33 * r * r:
-                lo = rs_degree_lower(n, prof.partial(k_t))
-                up, _ = grid_upper(n, r, k_t)
-                assert 10 * lo >= 9 * up, (n, r, k_t)
-                checked += 1
-    assert checked > 0
+        low = [k_t for _, k_t, _ in prof.breakpoints if k_t * 100 <= 33 * r * r]
+        assert low, (n, r)
+        for k_t in low:
+            # 10 * lower >= 9 * upper keeps the comparison in exact integers
+            lo = rs_degree_lower(n, prof.partial(k_t))
+            up, _ = grid_upper(n, r, k_t)
+            assert 10 * lo >= 9 * up, (n, r, k_t)
+        checked += len(low)
     print(f"\n[acceptance] criterion 6 (90% property at {checked} breakpoints): PASS")
 
 

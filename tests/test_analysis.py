@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rsprod.analysis import (
     _pack_rows,
     _peel_core,
     _rank_recoverable,
+    _slice_spectrum,
     _spectrum_over,
     block_margin_mask,
     double_root_check,
@@ -32,10 +34,12 @@ from rsprod.analysis import (
 from rsprod.bounds import exact_distance
 from rsprod.cli import main
 from rsprod.codec import _log_differences, build_code, encode, relabel
-from rsprod.field import field_new, mat_nullspace, mat_solve, poly_eval_many
-from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
+from rsprod.field import field_new, mat_nullspace, mat_rank, mat_solve, poly_eval_many
+from rsprod.linearized import instantiate_standard
+from rsprod.verify import _check_peel_consistency
 
-from reference import interpolate
+from reference import full_spectrum, interpolate
+from strategies import general_pair
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +227,94 @@ def test_spectrum_via_dual_matches_direct(pair_q2):
         assert via_dual.counts == direct.counts
 
 
+# ---------------------------------------------------------------------------
+# One translation slice against the whole span
+# ---------------------------------------------------------------------------
+
+
+def translation_basis(pair):
+    """A GF(2) basis of the evaluation points, an additive subgroup."""
+    basis, span = [], {0}
+    for t in pair.eval_points:
+        if t not in span:
+            basis.append(t)
+            span |= {x ^ t for x in span}
+    return basis
+
+
+SLICE_PAIRS = {
+    "q4": lambda: instantiate_standard(2),
+    "q8": lambda: instantiate_standard(3),
+    "gf64": lambda: general_pair(0),
+    "gf256": lambda: general_pair(2),
+}
+
+
+@pytest.mark.parametrize(
+    "name,r,k",
+    [("q4", 3, k) for k in (1, 4, 6, 7, 8)]
+    + [("q8", 4, k) for k in (5, 9, 11, 13)]
+    + [("gf64", 3, 5), ("gf256", 3, 7)],
+)
+def test_codes_are_translation_invariant(name, r, k):
+    pair = SLICE_PAIRS[name]()
+    code = build_code(pair, r, k)
+    index = {a: i for i, a in enumerate(pair.eval_points)}
+    basis = translation_basis(pair)
+    assert len(basis) == 2 * (pair.n_frak.bit_length() - 1)
+    for t in basis:
+        moved = code.G[:, [index[a ^ t] for a in pair.eval_points]]
+        assert mat_rank(code.ctx, np.vstack([code.G, moved])) == k
+
+
+@pytest.mark.parametrize(
+    "name,r,k,workers",
+    [
+        # packed: 16 cells of 4 bits; k = 1 enumerates the base alone
+        ("q4", 2, 1, 1), ("q4", 2, 3, 1), ("q4", 3, 4, 2),
+        # unpacked: 64 cells of 6 bits
+        ("q8", 2, 1, 2), ("q8", 2, 3, 1), ("q8", 2, 3, 2),
+        # evaluation sets that are proper subspaces of the field
+        ("gf64", 3, 3, 1), ("gf256", 2, 2, 2),
+    ],
+)
+def test_slice_spectrum_matches_full_enumeration(name, r, k, workers):
+    code = build_code(SLICE_PAIRS[name](), r, k)
+    d, spectrum = exhaustive_distance(code, workers=workers)
+    assert spectrum.counts == full_spectrum(code.ctx, code.G)
+    assert list(spectrum.counts) == sorted(spectrum.counts)
+    assert d == min(w for w in spectrum.counts if w)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slice_spectrum_of_the_dual_matches_full_enumeration(pair_q2, k, workers):
+    code = build_code(pair_q2, 2, k)
+    assert _slice_spectrum(code.ctx, code.H, workers) == full_spectrum(code.ctx, code.H)
+    via_dual = spectrum_via_dual(code, workers=workers)
+    assert via_dual.counts == full_spectrum(code.ctx, code.G)
+
+
+def test_slice_spectrum_guards():
+    ctx = field_new(2)
+    assert _slice_spectrum(ctx, np.zeros((0, 4), dtype=np.int64)) == {0: 1}
+    with pytest.raises(AssertionError, match="coordinate 0"):
+        _slice_spectrum(ctx, np.array([[0, 1, 1, 1]]))
+    # a span no translation group acts on: one weight-1 word per slice
+    # would stand for 4 * 3 words of weight 1
+    with pytest.raises(AssertionError, match="wrong total"):
+        _slice_spectrum(ctx, np.array([[1, 0, 0, 0]]))
+
+
+def test_long_run_warning_counts_the_slice(pair_q4, monkeypatch):
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 16)
+    with pytest.warns(RuntimeWarning, match="enumeration of 256 codewords"):
+        exhaustive_distance(build_code(pair_q4, 2, 3), budget=16**3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exhaustive_distance(build_code(pair_q4, 2, 2), budget=16**2)
+
+
 def test_erasure_recoverable_edges(pair_q4):
     code = build_code(pair_q4, 2, 4)
     empty = ErasureMask.from_flat(4, np.zeros(16, dtype=bool))
@@ -325,24 +417,36 @@ def test_peel_detects_inconsistent_input(pair_q4):
 
 @pytest.mark.parametrize("e,r,k", [(2, 2, 3), (2, 3, 7)])
 def test_peel_consistent_with_rank_oracle(e, r, k):
-    pair = instantiate_standard(e)
-    code = build_code(pair, r, k)
-    n2 = code.length
-    rng = np.random.default_rng(100 * e + k)
-    for _ in range(200):
-        msg = rng.integers(0, code.ctx.order, size=k)
-        word = encode(code, msg)
-        t = int(rng.integers(0, n2 - k + 3))
-        cells = rng.choice(n2, size=min(t, n2), replace=False)
-        flat = np.zeros(n2, dtype=bool)
-        flat[cells] = True
-        mask = ErasureMask.from_flat(code.n_frak, flat)
-        expect = _rank_recoverable(code, mask)
-        assert erasure_recoverable(code, mask) == expect
-        res = peel_decode(code, word, mask)
-        assert res.ok == expect
-        if res.ok:
-            assert np.array_equal(res.word, word)
+    result = _check_peel_consistency(((e, r, k),), np.random.default_rng(100 * e + k), 200)
+    assert result.ok, result.detail
+
+
+def test_peel_rejects_a_peeled_word_outside_the_subcode(pair_q4):
+    # the full-code word of e_8 agrees with the product code everywhere, so
+    # peeling fills (0, 0) with no mismatch; the word is not in C_7
+    full, code = build_code(pair_q4, 3, 9), build_code(pair_q4, 3, 7)
+    word = encode(full, [0] * 8 + [1])
+    assert mat_solve(code.ctx, code.G.T, word)[0] == "inconsistent"
+    er = np.zeros((4, 4), dtype=bool)
+    er[0, 0] = True
+    with pytest.raises(ValueError, match="not consistent with any codeword"):
+        peel_decode(code, word, ErasureMask(4, er))
+
+
+def test_peel_rejects_a_bad_symbol_on_lines_without_erasures(pair_q4):
+    # row 0 keeps exactly r = 3 cells, so only (0, 0) is predicted; row 1
+    # and column 1 carry no erasure and are never interpolated
+    code = build_code(pair_q4, 3, 7)
+    word = encode(code, [1, 2, 3, 4, 5, 6, 7])
+    er = np.zeros((4, 4), dtype=bool)
+    er[0, 0] = True
+    mask = ErasureMask(4, er)
+    res = peel_decode(code, word, mask)
+    assert res.ok and not res.used_global and np.array_equal(res.word, word)
+    bad = word.copy()
+    bad[1 * 4 + 1] ^= 1
+    with pytest.raises(ValueError, match="not consistent with any codeword"):
+        peel_decode(code, bad, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +532,7 @@ def test_fill_lines_matches_per_line_interpolation(e, data):
 def general_code(r, k):
     """A code on a pair whose Zg is no scalar multiple of Zf, so row and
     column repair do not share one Lagrange basis."""
-    pair = build_pair(LinearizedPoly(field_new(6), 1, (58, 0, 0, 1)))
-    return build_code(pair, r, k)
+    return build_code(general_pair(1), r, k)
 
 
 @pytest.mark.parametrize("e,r,k", [(2, 2, 3), (3, 3, 4), (3, 5, 20), ("general", 3, 5)])
@@ -453,12 +556,16 @@ def test_peel_raises_exactly_on_a_repairable_mismatch(e, r, k, data):
     try:
         res = peel_decode(code, word, mask)
     except ValueError as exc:
-        # only the global solve may still find the survivors inconsistent
-        assert erased.any() and "not consistent with any codeword" in str(exc)
+        # past the line checks only the global solve, or the membership
+        # check of a fully peeled grid, finds the survivors inconsistent
+        assert "not consistent with any codeword" in str(exc)
+        if not erased.any():
+            assert mat_solve(ctx, code.G.T, grid.reshape(-1))[0] == "inconsistent"
         return
     assert res.used_global == bool(erased.any())
     if not erased.any():
         assert np.array_equal(res.word, grid.reshape(-1))
+        assert mat_solve(ctx, code.G.T, res.word)[0] == "unique"
     elif res.residual is not None:
         assert np.array_equal(res.residual.erased, erased)
 

@@ -141,20 +141,6 @@ def test_bound_ordering_and_monotonicity(n, r):
         prev = rep
 
 
-@pytest.mark.parametrize("n,r", [(32, 16), (128, 64)])
-def test_degree_bound_within_ten_percent_at_low_breakpoints(n, r):
-    # 10 * lower >= 9 * upper keeps the comparison in exact integers
-    prof = degree_profile(n, r)
-    checked = 0
-    for _, k_t, _ in prof.breakpoints:
-        if k_t * 100 <= 33 * r * r:
-            lo = rs_degree_lower(n, prof.partial(k_t))
-            up, _ = grid_upper(n, r, k_t)
-            assert 10 * lo >= 9 * up
-            checked += 1
-    assert checked > 0
-
-
 def test_witnesses_are_feasible_and_minimal():
     rep = bound_report(32, 8, 40)
     a, b = rep.witness_ab

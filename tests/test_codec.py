@@ -1,6 +1,10 @@
-"""Code construction, encoding, relabeling, and local membership."""
+"""Code construction, encoding, relabeling, membership, and the generator
+CSV export."""
 
+import csv
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,16 +18,18 @@ from rsprod.codec import (
     build_code,
     encode,
     export_generator_csv,
+    in_code,
     local_membership,
     relabel,
     unrelabel,
 )
 from rsprod.degrees import ref_basis
-from rsprod.field import mat_rank, poly_compose, poly_eval_many
+from rsprod.field import mat_rank, mat_solve, poly_compose, poly_eval_many
 from rsprod.linearized import instantiate_standard
 from rsprod.verify import _check_diagram
 
 from reference import interpolate
+from strategies import draw_code, pairs
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +261,6 @@ def test_generator_csv_export(pair_q4):
     text = export_generator_csv(code)
     lines = text.strip().split("\n")
     assert lines[0].startswith("# {")
-    import json
-
     header = json.loads(lines[0][2:])
     assert header == {
         "M": 4,
@@ -271,3 +275,37 @@ def test_generator_csv_export(pair_q4):
     assert first_row == [int(x) for x in code.G[0]]
     # deterministic across calls
     assert text == export_generator_csv(build_code(pair_q4, 2, 3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_generator_csv_parses_back(pair, data):
+    code = draw_code(pair, data)
+    text = export_generator_csv(code)
+    head, body = text.split("\n", 1)
+    assert head.startswith("# ")
+    assert json.loads(head[2:]) == {
+        "M": code.ctx.extension_degree,
+        "coordinate_order": "Zf-major",
+        "k": code.k,
+        "q": pair.f.q,
+        "r": code.r,
+        "reduction_poly_hex": format(code.ctx.reduction_poly, "x"),
+    }
+    rows = [[int(x, 16) for x in row] for row in csv.reader(io.StringIO(body))]
+    assert np.array_equal(np.array(rows, dtype=np.int64), code.G)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_in_code_matches_solve_on_the_generator(pair, data):
+    # codewords, words of the full product code, and one-cell corruptions
+    code = draw_code(pair, data)
+    full = build_code(pair, code.r, code.r * code.r)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    source = data.draw(st.sampled_from([code, full]), label="source")
+    word = encode(source, rng.integers(0, code.ctx.order, size=source.k))
+    if data.draw(st.booleans(), label="corrupt"):
+        word[int(rng.integers(code.length))] ^= int(rng.integers(1, code.ctx.order))
+    want = mat_solve(code.ctx, code.G.T, word)[0] != "inconsistent"
+    assert in_code(code, relabel(pair, word).entries) == want

@@ -14,17 +14,12 @@ from hypothesis import strategies as st
 from rsprod.analysis import _derivative_grid
 from rsprod.cli import main
 from rsprod.codec import build_code, encode, export_generator_csv
-from rsprod.degrees import degree_profile, ref_basis
-from rsprod.field import (
-    field_new,
-    is_irreducible,
-    poly_compose,
-    poly_eval_many,
-    smallest_irreducible,
-)
-from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard, subfield
+from rsprod.degrees import ref_basis
+from rsprod.field import poly_compose, poly_eval_many
+from rsprod.linearized import instantiate_standard
 
 from reference import encoded_poly, horner_generator, poly_deriv
+from strategies import draw_code, pairs
 
 # SHA-256 of export_generator_csv for the standard pair, recorded with G built
 # by Horner evaluation of every basis polynomial on the sum points:
@@ -73,43 +68,6 @@ def test_build_stdout_golden(capsys, flags, poly_hex, digest):
     out = capsys.readouterr().out
     assert json.loads(out.split("\n", 1)[0][2:])["reduction_poly_hex"] == poly_hex
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# pairs that are not the small-field instantiation: (M, q_log, f coefficients)
-GENERAL_PAIRS = [(6, 1, (0xE, 0, 1)), (6, 1, (58, 0, 0, 1))]
-
-
-@st.composite
-def pairs(draw):
-    """The standard pair at q_log 1-4 with default, overridden c or
-    overridden reduction polynomial, or a general build_pair(f) pair."""
-    kind = draw(st.sampled_from(["default", "c", "field-poly", "general"]))
-    if kind == "general":
-        m, q_log, coeffs = draw(st.sampled_from(GENERAL_PAIRS))
-        return build_pair(LinearizedPoly(field_new(m), q_log, coeffs))
-    e = draw(st.integers(1, 4))
-    if kind == "c":
-        ctx = field_new(2 * e)
-        outside = sorted(set(ctx.elements()) - set(subfield(ctx, e)))
-        return instantiate_standard(e, c=draw(st.sampled_from(outside)))
-    if kind == "field-poly":
-        m = 2 * e
-        polys = [p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m)]
-        others = [p for p in polys if p != smallest_irreducible(m)] or polys
-        return instantiate_standard(e, reduction_poly=draw(st.sampled_from(others)))
-    return instantiate_standard(e)
-
-
-def draw_code(pair, data):
-    n = pair.n_frak
-    # r = 1 and r = n, else small r where Horner stays fast
-    r = data.draw(st.sampled_from([1, n]) | st.integers(1, min(n, 6)), label="r")
-    dims = degree_profile(n, r).breakpoint_dims
-    k = data.draw(
-        st.sampled_from([r * r, 1]) | st.sampled_from(dims) | st.integers(1, r * r),
-        label="k",
-    )
-    return build_code(pair, r, k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,8 +1,11 @@
 """Root spaces, the standard small-field pair, and the evaluation grid."""
 
-import pytest
+import json
 
-from rsprod.field import field_new
+import pytest
+from hypothesis import given, settings
+
+from rsprod.field import FieldCtx, field_new
 from rsprod.linearized import (
     LinearizedPair,
     LinearizedPoly,
@@ -11,6 +14,8 @@ from rsprod.linearized import (
     root_space,
     subfield,
 )
+
+from strategies import pairs
 
 
 def test_standard_pair_q4_root_spaces():
@@ -170,3 +175,13 @@ def test_pair_json_roundtrip():
     bad["Zg_hex"] = list(reversed(blob["Zg_hex"]))
     with pytest.raises(ValueError):
         LinearizedPair.from_json(bad)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=pairs())
+def test_pair_json_roundtrip_property(pair):
+    blob = json.loads(json.dumps(pair.to_json()))
+    again = LinearizedPair.from_json(blob)
+    assert again == pair and again.eval_points == pair.eval_points
+    assert FieldCtx.from_json(again.ctx.to_json()) == pair.ctx
+    assert again.to_json() == blob
