@@ -2,7 +2,8 @@
 on the peeling core, the peeling erasure decoder, and the double-root
 structural check.
 
-Exhaustive enumeration walks the message space with the top digits in
+Exhaustive enumeration runs the last row's coefficient over a set of
+values (all of F, or one worker's share) and walks the digits below it in
 mixed-radix reflected Gray order, so each step XORs a single scalar
 multiple of one generator row into the running partial codeword; the
 lowest digits are expanded once into a vectorized span block.  When a
@@ -16,6 +17,7 @@ points, a group transitive on the coordinates, so a spectrum needs only the
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -40,6 +42,10 @@ from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
+# smallest slice, in words, that a worker pool enumerates: starting a pool
+# costs 10-20 ms on 2 vCPUs, about what a 2^20-word packed or a 2^18-word
+# unpacked slice takes serially, while a 2^24-word slice gains a quarter
+_POOL_MIN_WORDS = 1 << 21
 
 
 class BudgetExceeded(ValueError):
@@ -139,10 +145,9 @@ def _gray_transitions(radix: int, ndigits: int) -> Iterator[tuple[int, int, int]
         yield i, old, digits[i]
 
 
-def _pack_rows(ctx: FieldCtx, rows: np.ndarray) -> Optional[dict]:
-    """Bit-packing setup when a codeword fits into one uint64."""
+def _pack_rows(ctx: FieldCtx, length: int) -> Optional[dict]:
+    """Bit-packing setup when a codeword of ``length`` symbols fits a uint64."""
     m = ctx.extension_degree
-    length = rows.shape[1] if rows.ndim == 2 else len(rows)
     if length * m > 64:
         return None
     shifts = (np.arange(length, dtype=np.uint64) * np.uint64(m))
@@ -166,21 +171,28 @@ def _sym_dtype(ctx: FieldCtx):
 
 
 def _spectrum_over(
-    ctx: FieldCtx, rows: np.ndarray, length: int, base: np.ndarray
+    ctx: FieldCtx, rows: np.ndarray, length: int, base: np.ndarray, values: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Weight histogram of {base + span(rows combinations)} over all
-    |F|^len(rows) message tuples."""
+    """Weight histogram of the words base + sum_i m_i rows[i], every m_i
+    running over F except the last row's coefficient, which runs over
+    ``values`` (all of F by default); with no rows, of base alone.  A
+    worker's share of the span is this call on its share of F."""
     q = ctx.order
-    packing = _pack_rows(ctx, np.zeros((1, length), dtype=np.int64))
+    packing = _pack_rows(ctx, length)
     scalars = np.arange(q, dtype=np.int64)
-    multiples = [ctx.mul_arr(scalars[:, None], row[None, :]) for row in rows]
-    if packing is not None:
-        tables = [_pack(t, packing) for t in multiples]
-        span = _pack(base.reshape(1, -1), packing)
+    if len(rows):
+        top = scalars if values is None else np.asarray(values, dtype=np.int64)
+        starts = ctx.mul_arr(top[:, None], rows[-1][None, :])
+        rows = rows[:-1]
     else:
-        dt = _sym_dtype(ctx)
-        tables = [t.astype(dt) for t in multiples]
-        span = base.astype(dt).reshape(1, -1)
+        starts = np.zeros((1, length), dtype=np.int64)
+    if packing is not None:
+        convert = functools.partial(_pack, packing=packing)
+    else:
+        convert = functools.partial(np.ndarray.astype, dtype=_sym_dtype(ctx))
+    tables = [convert(ctx.mul_arr(scalars[:, None], row[None, :])) for row in rows]
+    starts = convert(starts)
+    span = convert(base.reshape(1, -1))
 
     n_bottom = 0
     while (
@@ -228,26 +240,11 @@ def _spectrum_over(
             counts[:] += np.bincount(weights, minlength=length + 1)
 
     gray_tables = tables[n_bottom:]
-    if packing is not None:
-        partial = np.uint64(0)
-    else:
-        partial = np.zeros(length, dtype=_sym_dtype(ctx))
-    flush(partial)
-    for digit, old, new in _gray_transitions(q, len(gray_tables)):
-        partial ^= gray_tables[digit][old ^ new]
+    for partial in starts:
         flush(partial)
-    return counts
-
-
-def _spectrum_worker(payload: dict) -> np.ndarray:
-    ctx = FieldCtx(payload["m"], payload["poly"])
-    rows = np.array(payload["rows"], dtype=np.int64)
-    top = np.array(payload["top_row"], dtype=np.int64)
-    base = np.array(payload["base"], dtype=np.int64)
-    length = len(base)
-    counts = np.zeros(length + 1, dtype=np.int64)
-    for v in payload["values"]:
-        counts += _spectrum_over(ctx, rows, length, base ^ ctx.mul_arr(top, v))
+        for digit, old, new in _gray_transitions(q, len(gray_tables)):
+            partial ^= gray_tables[digit][old ^ new]
+            flush(partial)
     return counts
 
 
@@ -265,7 +262,9 @@ def _slice_spectrum(
     coordinate) gives w A_w = length (|F| - 1) N_w.  The words with
     c_0 = 1 are base + span(others): base is a row nonzero at coordinate 0
     scaled to 1 there, and the others are the remaining rows with
-    coordinate 0 cleared."""
+    coordinate 0 cleared.  ``workers`` is an upper bound: a pool starts
+    only for a slice of at least _POOL_MIN_WORDS words, and each worker
+    takes a share of the values of the last row's coefficient."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         return {0: 1}
@@ -278,26 +277,12 @@ def _slice_spectrum(
     others = np.delete(rows, lead[0], axis=0)
     others ^= ctx.mul_arr(others[:, :1], base)
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(others) < 2:
-        counts = _spectrum_over(ctx, others, length, base)
+    if workers > 1 and q ** len(others) >= _POOL_MIN_WORDS:
+        share = functools.partial(_spectrum_over, ctx, others, length, base)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(share, np.array_split(np.arange(q), workers)))
     else:
-        chunks = np.array_split(np.arange(q), workers)
-        payloads = [
-            {
-                "m": ctx.extension_degree,
-                "poly": ctx.reduction_poly,
-                "rows": others[:-1].tolist(),
-                "top_row": others[-1].tolist(),
-                "base": base.tolist(),
-                "values": chunk.tolist(),
-            }
-            for chunk in chunks
-            if len(chunk)
-        ]
-        counts = np.zeros(length + 1, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for part in pool.map(_spectrum_worker, payloads):
-                counts += part
+        counts = _spectrum_over(ctx, others, length, base)
     if counts[0]:
         raise AssertionError("a word with c_0 = 1 has weight 0")
     spectrum = {0: 1}

@@ -82,14 +82,7 @@ class CodeInstance:
         carries the checks Phi over to the corner: row l is
         vec(A_r^-1 . Phi_l . B_r^-T), so Phi_C . vec(C) = Phi . vec(M)."""
         ctx, r = self.ctx, self.r
-        a, b = _power_tables(self.pair, r)
-        eye = np.eye(r, dtype=np.int64)
-        a_inv, b_inv = (
-            mat_rref(ctx, np.concatenate([v[:, :r], eye], axis=1))[0][:, r:]
-            for v in (a, b)
-        )
-        p = mat_mul(ctx, a[:, r:].T, a_inv.T)
-        q = mat_mul(ctx, b_inv, b)
+        p, q, a_inv, b_inv = _product_code_maps(self.pair, r)
         phi = self.Phi.reshape(-1, r, r)
         phi_c = mat_mul(ctx, a_inv, mat_mul(ctx, phi, b_inv.T)).reshape(-1, r * r)
         return p, q, phi_c
@@ -117,19 +110,39 @@ def _grid_values(pair: LinearizedPair, s: np.ndarray) -> np.ndarray:
     return mat_mul(pair.ctx, a.T, mat_mul(pair.ctx, s, b))
 
 
+def _product_code_maps(pair: LinearizedPair, r: int) -> tuple[np.ndarray, ...]:
+    """(P, Q, A_r^-1, B_r^-1) for the product code {A^T . M . B} of
+    (pair, r), 1 <= r <= n; see CodeInstance.corner_maps."""
+    ctx = pair.ctx
+    a, b = _power_tables(pair, r)
+    eye = np.eye(r, dtype=np.int64)
+    a_inv, b_inv = (
+        mat_rref(ctx, np.concatenate([v[:, :r], eye], axis=1))[0][:, r:]
+        for v in (a, b)
+    )
+    return mat_mul(ctx, a[:, r:].T, a_inv.T), mat_mul(ctx, b_inv, b), a_inv, b_inv
+
+
+def _in_product_code(ctx: FieldCtx, grid: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether an n x n grid is A^T . M . B for some r x r matrix M: with
+    the corner C = grid[:r, :r], its first r rows must be C . Q and the
+    others P . C . Q (see CodeInstance.corner_maps)."""
+    r = len(q)
+    top = mat_mul(ctx, grid[:r, :r], q)
+    return np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])
+
+
 def in_code(code: CodeInstance, grid: np.ndarray) -> bool:
     """Whether a full n x n grid is a codeword of C_k, in O(r n^2) field
     products and without H.  The r x r corner C fixes the only candidate
-    message matrix M (see CodeInstance.corner_maps): the grid is in the
-    product code iff its first r rows are C . Q and the others P . C . Q,
-    and then in C_k iff M lies in the span of the S_l, Phi_C . vec(C) = 0."""
+    message matrix M (see CodeInstance.corner_maps): the grid must be in
+    the product code, and then is in C_k iff M lies in the span of the
+    S_l, Phi_C . vec(C) = 0."""
     ctx, r = code.ctx, code.r
     p, q, phi_c = code.corner_maps
-    corner = grid[:r, :r]
-    top = mat_mul(ctx, corner, q)
-    if not (np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])):
+    if not _in_product_code(ctx, grid, p, q):
         return False
-    return not mat_mul(ctx, phi_c, corner.reshape(r * r, 1)).any()
+    return not mat_mul(ctx, phi_c, grid[:r, :r].reshape(r * r, 1)).any()
 
 
 def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
@@ -224,18 +237,12 @@ def _line_predictions(
 
 def local_membership(pair: LinearizedPair, r: int, gw: GridWord) -> bool:
     """True iff every grid row agrees with a polynomial of degree < r on Zg
-    and every grid column with one on Zf: the prediction from the first r
-    cells of each line must match all n cells."""
-    n = pair.n_frak
-    if r >= n:
+    and every grid column with one on Zf, i.e. the grid lies in the product
+    code of (pair, r), the check in_code makes before its subcode check."""
+    if r >= pair.n_frak:
         return True
-    ctx = pair.ctx
-    anchors = np.broadcast_to(np.arange(r), (n, r))
-    for lines, points in ((gw.entries, pair.Zg), (gw.entries.T, pair.Zf)):
-        pred = _line_predictions(ctx, _log_differences(ctx, points), lines, anchors)
-        if np.any(pred[:, r:] != lines[:, r:]):
-            return False
-    return True
+    p, q, _, _ = _product_code_maps(pair, r)
+    return _in_product_code(pair.ctx, gw.entries, p, q)
 
 
 def export_generator_csv(code: CodeInstance) -> str:

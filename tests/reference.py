@@ -15,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from rsprod.analysis import _spectrum_over
 from rsprod.codec import encode, relabel
 from rsprod.degrees import ref_basis
 from rsprod.field import (
     ZERO_POLY,
     FieldCtx,
+    mat_mul,
     poly_add,
     poly_divmod,
     poly_eval_many,
@@ -136,10 +136,19 @@ def grid_upper_scan(n: int, r: int, k: int) -> tuple[int, tuple[int, int]]:
     return int(vals[a, b]), (a, b)
 
 
+_SPECTRUM_CHUNK = 1 << 14
+
+
 def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
-    """Weight spectrum {w: A_w}, ascending, of the span of ``rows`` by
-    enumerating all |F|^len(rows) combinations from the zero word."""
+    """Weight spectrum {w: A_w}, ascending, of the span of ``rows``: all
+    |F|^len(rows) messages, a chunk at a time, are multiplied by the rows
+    and the nonzero symbols of each product counted."""
     rows = np.asarray(rows, dtype=np.int64)
-    length = rows.shape[1]
-    counts = _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
+    q, total = ctx.order, ctx.order ** len(rows)
+    places = q ** np.arange(len(rows), dtype=np.int64)
+    counts = np.zeros(rows.shape[1] + 1, dtype=np.int64)
+    for lo in range(0, total, _SPECTRUM_CHUNK):
+        index = np.arange(lo, min(lo + _SPECTRUM_CHUNK, total), dtype=np.int64)
+        words = mat_mul(ctx, index[:, None] // places % q, rows)
+        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=len(counts))
     return {w: int(c) for w, c in enumerate(counts) if c}

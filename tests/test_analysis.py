@@ -117,9 +117,10 @@ def test_exhaustive_budget():
         exhaustive_distance(code, budget=2**28)
 
 
-def test_workers_agree_with_serial(pair_q4):
+def test_workers_agree_with_serial(pair_q4, monkeypatch):
     # one packed-uint64 and one unpacked code, both against encoding every
-    # message
+    # message; both slices are far below the real pool threshold
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
     for code in (build_code(pair_q4, 2, 3), build_code(instantiate_standard(3), 2, 2)):
         d1, s1 = exhaustive_distance(code)
         d2, s2 = exhaustive_distance(code, workers=2)
@@ -139,12 +140,38 @@ def test_packed_weights_for_any_lane_width(m):
     length = 64 // m
     rng = np.random.default_rng(m)
     rows = rng.integers(0, ctx.order, size=(2, length))
-    assert _pack_rows(ctx, rows) is not None
+    assert _pack_rows(ctx, length) is not None
     got = _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
     want = np.zeros(length + 1, dtype=np.int64)
     for a, b in itertools.product(range(ctx.order), repeat=2):
         want[np.count_nonzero(ctx.mul_arr(rows[0], a) ^ ctx.mul_arr(rows[1], b))] += 1
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "m,length,nrows",
+    # packed (16 cells of 2 bits), unpacked (64 cells of 3 bits), one row
+    [(2, 16, 3), (3, 64, 3), (4, 16, 1)],
+)
+def test_value_shares_sum_to_the_whole_span(m, length, nrows):
+    ctx = field_new(m)
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, ctx.order, size=(nrows, length))
+    base = rng.integers(0, ctx.order, size=length)
+    whole = _spectrum_over(ctx, rows, length, base)
+    want = np.zeros(length + 1, dtype=np.int64)
+    for msg in itertools.product(range(ctx.order), repeat=nrows):
+        word = base.copy()
+        for c, row in zip(msg, rows):
+            word ^= ctx.mul_arr(row, c)
+        want[np.count_nonzero(word)] += 1
+    assert np.array_equal(whole, want)
+    shares = np.array_split(rng.permutation(ctx.order), 3)
+    parts = [_spectrum_over(ctx, rows, length, base, share) for share in shares]
+    assert [int(p.sum()) for p in parts] == [
+        len(share) * ctx.order ** (nrows - 1) for share in shares
+    ]
+    assert np.array_equal(sum(parts), whole)
 
 
 class SerialPool:
@@ -169,6 +196,8 @@ class SerialPool:
 def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "seen", [])
+    # the slice of (4, 2, 3) has 256 words, far below the real threshold
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
     code = build_code(pair_q4, 2, 3)
     _, serial = exhaustive_distance(code, workers=1)
@@ -182,6 +211,23 @@ def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
     _, single = exhaustive_distance(code, workers=8)
     assert SerialPool.seen == [3, 3] and single.counts == serial.counts
+
+
+def test_pool_starts_at_the_threshold(pair_q4, monkeypatch):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "seen", [])
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    code = build_code(pair_q4, 2, 3)  # a slice of 16^2 words
+    _, serial = exhaustive_distance(code)
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 257)
+    _, below = exhaustive_distance(code, workers=2)
+    assert SerialPool.seen == [] and below.counts == serial.counts
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 256)
+    _, at = exhaustive_distance(code, workers=2)
+    assert SerialPool.seen == [2] and at.counts == serial.counts
+    # one worker never starts a pool, however large the slice
+    exhaustive_distance(code, workers=1)
+    assert SerialPool.seen == [2]
 
 
 def test_sampled_distance(pair_q4):
@@ -278,7 +324,9 @@ def test_codes_are_translation_invariant(name, r, k):
         ("gf64", 3, 3, 1), ("gf256", 2, 2, 2),
     ],
 )
-def test_slice_spectrum_matches_full_enumeration(name, r, k, workers):
+def test_slice_spectrum_matches_full_enumeration(name, r, k, workers, monkeypatch):
+    # with two workers, every slice of two words or more goes to the pool
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
     code = build_code(SLICE_PAIRS[name](), r, k)
     d, spectrum = exhaustive_distance(code, workers=workers)
     assert spectrum.counts == full_spectrum(code.ctx, code.G)
@@ -288,7 +336,10 @@ def test_slice_spectrum_matches_full_enumeration(name, r, k, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_slice_spectrum_of_the_dual_matches_full_enumeration(pair_q2, k, workers):
+def test_slice_spectrum_of_the_dual_matches_full_enumeration(
+    pair_q2, k, workers, monkeypatch
+):
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
     code = build_code(pair_q2, 2, k)
     assert _slice_spectrum(code.ctx, code.H, workers) == full_spectrum(code.ctx, code.H)
     via_dual = spectrum_via_dual(code, workers=workers)
