@@ -6,9 +6,10 @@ Exhaustive enumeration runs the last row's coefficient over a set of
 values (all of F, or one worker's share) and walks the digits below it in
 mixed-radix reflected Gray order, so each step XORs a single scalar
 multiple of one generator row into the running partial codeword; the
-lowest digits are expanded once into a vectorized span block.  When a
-whole codeword fits in 64 bits the block is bit-packed and weights come
-from a popcount, otherwise symbols stay in a small unsigned dtype.
+lowest digits are expanded once into a vectorized span block.  Every
+codeword is packed into m-bit lanes of as many uint64 words as it needs;
+a fixed four-operation SWAR test (Warren, Hacker's Delight, ch. 6) sets
+the top bit of each nonzero lane, and weights come from a popcount.
 
 Every code here is invariant under the translations of its evaluation
 points, a group transitive on the coordinates, so a spectrum needs only the
@@ -42,9 +43,10 @@ from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
-# smallest slice, in words, that a worker pool enumerates: starting a pool
-# costs 10-20 ms on 2 vCPUs, about what a 2^20-word packed or a 2^18-word
-# unpacked slice takes serially, while a 2^24-word slice gains a quarter
+# smallest slice, in words, that a worker pool enumerates: on 2 vCPUs a
+# 2^18- or 2^20-word slice takes 8-13 ms serially and 29-38 ms with a
+# 2-worker pool, while a 2^24-word slice gains a fifth with one packed word
+# to a codeword and two fifths with seven
 _POOL_MIN_WORDS = 1 << 21
 
 
@@ -145,29 +147,33 @@ def _gray_transitions(radix: int, ndigits: int) -> Iterator[tuple[int, int, int]
         yield i, old, digits[i]
 
 
-def _pack_rows(ctx: FieldCtx, length: int) -> Optional[dict]:
-    """Bit-packing setup when a codeword of ``length`` symbols fits a uint64."""
+def _pack_rows(ctx: FieldCtx, length: int) -> dict:
+    """Lane packing of a codeword of ``length`` m-bit symbols: symbol
+    w * per + i sits in lane i of word w, per = 64 // m lanes to a uint64.
+    ``low`` holds the m - 1 low bits of every lane and ``high`` its top
+    bit."""
     m = ctx.extension_degree
-    if length * m > 64:
-        return None
-    shifts = (np.arange(length, dtype=np.uint64) * np.uint64(m))
-    lane_mask = np.uint64(0)
-    for i in range(length):
-        lane_mask |= np.uint64(1) << np.uint64(i * m)
-    return {"m": m, "shifts": shifts, "lane_mask": lane_mask}
+    per = 64 // m
+    shifts = np.arange(min(per, length), dtype=np.uint64) * np.uint64(m)
+    lane_ones = sum(1 << (i * m) for i in range(per))
+    return {
+        "per": per,
+        "words": -(-length // per),
+        "shifts": shifts,
+        "low": np.uint64(((1 << (m - 1)) - 1) * lane_ones),
+        "high": np.uint64((1 << (m - 1)) * lane_ones),
+    }
 
 
 def _pack(vecs: np.ndarray, packing: dict) -> np.ndarray:
-    v = vecs.astype(np.uint64)
-    return np.bitwise_or.reduce(v << packing["shifts"], axis=-1)
-
-
-def _sym_dtype(ctx: FieldCtx):
-    if ctx.extension_degree <= 8:
-        return np.uint8
-    if ctx.extension_degree <= 16:
-        return np.uint16
-    return np.uint32
+    """Symbols (..., length) to packed words (..., words)."""
+    per = packing["per"]
+    vecs = np.asarray(vecs, dtype=np.int64).view(np.uint64)
+    out = np.zeros(vecs.shape[:-1] + (packing["words"],), dtype=np.uint64)
+    for i, shift in enumerate(packing["shifts"]):
+        lane = vecs[..., i::per]
+        out[..., : lane.shape[-1]] |= lane << shift
+    return out
 
 
 def _spectrum_over(
@@ -179,67 +185,57 @@ def _spectrum_over(
     worker's share of the span is this call on its share of F."""
     q = ctx.order
     packing = _pack_rows(ctx, length)
+    words = packing["words"]
+    low, high = packing["low"], packing["high"]
     scalars = np.arange(q, dtype=np.int64)
-    if len(rows):
-        top = scalars if values is None else np.asarray(values, dtype=np.int64)
-        starts = ctx.mul_arr(top[:, None], rows[-1][None, :])
-        rows = rows[:-1]
-    else:
-        starts = np.zeros((1, length), dtype=np.int64)
-    if packing is not None:
-        convert = functools.partial(_pack, packing=packing)
-    else:
-        convert = functools.partial(np.ndarray.astype, dtype=_sym_dtype(ctx))
-    tables = [convert(ctx.mul_arr(scalars[:, None], row[None, :])) for row in rows]
-    starts = convert(starts)
-    span = convert(base.reshape(1, -1))
+    top = scalars if values is None else np.asarray(values, dtype=np.int64)
+    digits = [scalars] * (len(rows) - 1) + [top]
+    tables = [
+        _pack(ctx.mul_arr(d[:, None], row[None, :]), packing)
+        for d, row in zip(digits, rows)
+    ]
 
-    n_bottom = 0
-    while (
-        n_bottom < len(rows)
-        and q ** (n_bottom + 1) <= _BLOCK_DIGITS_LIMIT
+    # the lowest digits, at least one, are expanded into the block, the
+    # top digit (the values share) too when the whole span fits
+    span = _pack(base.reshape(1, -1), packing).T
+    n_block = 0
+    while n_block < len(tables) and (
+        n_block == 0 or span.size * len(tables[n_block]) <= _BLOCK_DIGITS_LIMIT
     ):
-        t = tables[n_bottom]
-        if packing is not None:
-            span = (span[:, None] ^ t[None, :]).reshape(-1)
-        else:
-            span = (span[:, None, :] ^ t[None, :, :]).reshape(-1, length)
-        n_bottom += 1
+        t = tables[n_block]
+        span = (span[:, :, None] ^ t.T[:, None, :]).reshape(words, -1)
+        n_block += 1
 
     counts = np.zeros(length + 1, dtype=np.int64)
     # every flush fills these buffers in place; span-sized temporaries would
-    # be mapped and faulted in afresh on each of the |F|^(k - n_bottom)
-    # flushes.  The weights are intp because bincount takes nothing else
-    # without a converted copy.
+    # be mapped and faulted in afresh on each flush.  The weights take the
+    # smallest dtype that holds a weight: the words' uint8 lane counts sum
+    # faster into it than into intp, and bincount's copy of it costs less.
     x = np.empty_like(span)
-    weights = np.empty(len(span), dtype=np.intp)
-    if packing is not None:
-        spread = np.empty_like(span)
-        m = packing["m"]
+    nonzero = np.empty_like(span)
+    weights = np.empty(span.shape[1], dtype=np.min_scalar_type(length))
+    lane_counts = np.empty(span.shape, dtype=np.uint8)
 
-        def flush(partial):
-            np.bitwise_xor(span, partial, out=x)
-            # OR each m-bit lane into its lowest bit, never past the lane
-            covered = 1
-            while covered < m:
-                shift = min(covered, m - covered)
-                np.right_shift(x, np.uint64(shift), out=spread)
-                np.bitwise_or(x, spread, out=x)
-                covered += shift
-            np.bitwise_and(x, packing["lane_mask"], out=x)
-            np.bitwise_count(x, out=weights)
-            counts[:] += np.bincount(weights, minlength=length + 1)
+    def flush(partial):
+        np.bitwise_xor(span, partial[:, None], out=x)
+        # the top bit of each lane is set iff the lane is nonzero: its low
+        # bits plus low carry into the top bit and never out of the lane
+        np.bitwise_and(x, low, out=nonzero)
+        np.add(nonzero, low, out=nonzero)
+        np.bitwise_or(nonzero, x, out=nonzero)
+        np.bitwise_and(nonzero, high, out=nonzero)
+        if words == 1:
+            np.bitwise_count(nonzero[0], out=weights)
+        else:
+            np.bitwise_count(nonzero, out=lane_counts)
+            np.sum(lane_counts, axis=0, dtype=weights.dtype, out=weights)
+        counts[:] += np.bincount(weights, minlength=length + 1)
 
+    if n_block < len(tables):
+        starts = tables[-1]
     else:
-        nonzero = np.empty(span.shape, dtype=bool)
-
-        def flush(partial):
-            np.bitwise_xor(span, partial, out=x)
-            np.not_equal(x, 0, out=nonzero)
-            np.sum(nonzero, axis=1, out=weights)
-            counts[:] += np.bincount(weights, minlength=length + 1)
-
-    gray_tables = tables[n_bottom:]
+        starts = np.zeros((1, words), dtype=np.uint64)
+    gray_tables = tables[n_block:-1]
     for partial in starts:
         flush(partial)
         for digit, old, new in _gray_transitions(q, len(gray_tables)):

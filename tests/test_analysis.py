@@ -35,7 +35,7 @@ from rsprod.bounds import exact_distance
 from rsprod.cli import main
 from rsprod.codec import _log_differences, build_code, encode, relabel
 from rsprod.field import field_new, mat_nullspace, mat_rank, mat_solve, poly_eval_many
-from rsprod.linearized import instantiate_standard
+from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
 from rsprod.verify import _check_peel_consistency
 
 from reference import full_spectrum, interpolate
@@ -101,8 +101,8 @@ def test_exhaustive_spectrum_matches_brute_force_q4(pair_q4):
     assert spectrum.counts == brute_spectrum(code)
 
 
-def test_exhaustive_general_dtype_path_q8():
-    # 64 symbols of 6 bits each cannot pack into 64 bits
+def test_exhaustive_multi_word_q8():
+    # 64 symbols of 6 bits each take seven packed words
     pair = instantiate_standard(3)
     code = build_code(pair, 2, 3)
     d, spectrum = exhaustive_distance(code)
@@ -118,7 +118,7 @@ def test_exhaustive_budget():
 
 
 def test_workers_agree_with_serial(pair_q4, monkeypatch):
-    # one packed-uint64 and one unpacked code, both against encoding every
+    # a one-word and a seven-word code, both against encoding every
     # message; both slices are far below the real pool threshold
     monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
     for code in (build_code(pair_q4, 2, 3), build_code(instantiate_standard(3), 2, 2)):
@@ -132,46 +132,92 @@ def test_workers_agree_with_serial(pair_q4, monkeypatch):
         assert s1.counts == brute
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def brute_histogram(ctx, rows, length, base, values=None):
+    """Weight histogram of base + sum_i m_i rows[i], the last m_i over
+    ``values`` (all of F by default), by explicit XORs of unpacked words."""
+    words = base.reshape(1, -1)
+    for i, row in enumerate(rows):
+        coeffs = np.arange(ctx.order) if values is None or i < len(rows) - 1 else values
+        multiples = ctx.mul_arr(coeffs[:, None], row[None, :])
+        words = (words[:, None, :] ^ multiples[None, :, :]).reshape(-1, length)
+    return np.bincount(np.count_nonzero(words, axis=1), minlength=length + 1)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
 def test_packed_weights_for_any_lane_width(m):
-    # symbol widths that are not powers of two must not pick up the bits
-    # of the neighbouring lane when the lane is folded to one bit
+    # symbol widths that are not powers of two must not carry into the
+    # neighbouring lane, and a last word may be partly filled
     ctx = field_new(m)
-    length = 64 // m
+    per = 64 // m
     rng = np.random.default_rng(m)
-    rows = rng.integers(0, ctx.order, size=(2, length))
-    assert _pack_rows(ctx, length) is not None
-    got = _spectrum_over(ctx, rows, length, np.zeros(length, dtype=np.int64))
-    want = np.zeros(length + 1, dtype=np.int64)
-    for a, b in itertools.product(range(ctx.order), repeat=2):
-        want[np.count_nonzero(ctx.mul_arr(rows[0], a) ^ ctx.mul_arr(rows[1], b))] += 1
-    assert np.array_equal(got, want)
+    for length in (per, 2 * per + 1):
+        assert _pack_rows(ctx, length)["words"] == -(-length // per)
+        if m < 8:
+            rows = rng.integers(0, ctx.order, size=(2, length))
+            base, values = np.zeros(length, dtype=np.int64), None
+        else:
+            # one row over a sample of F (all of it up to m = 10) and a
+            # nonzero base
+            rows = rng.integers(0, ctx.order, size=(1, length))
+            base = rng.integers(1, ctx.order, size=length)
+            values = np.arange(ctx.order) if m <= 10 else rng.choice(ctx.order, 1024)
+        got = _spectrum_over(ctx, rows, length, base, values)
+        assert np.array_equal(got, brute_histogram(ctx, rows, length, base, values))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 10, 20])
+def test_lane_test_edge_words(m):
+    # the nonzero-lane test on two full words: a lane with only its top
+    # bit, one with only its low bits (none at m = 1) and an all-ones lane,
+    # alone at every position; then all-ones lanes beside zero lanes, and
+    # every lane all ones
+    ctx = field_new(m)
+    length = 2 * (64 // m)
+    no_rows = np.zeros((0, length), dtype=np.int64)
+    top, low, ones = 1 << (m - 1), (1 << (m - 1)) - 1, (1 << m) - 1
+
+    def weight(word):
+        counts = _spectrum_over(ctx, no_rows, length, word)
+        assert counts.sum() == 1
+        return int(np.flatnonzero(counts)[0])
+
+    for symbol in (top, low, ones):
+        for i in range(length):
+            word = np.zeros(length, dtype=np.int64)
+            word[i] = symbol
+            assert weight(word) == (symbol != 0)
+    for offset in (0, 1):
+        word = np.zeros(length, dtype=np.int64)
+        word[offset::2] = ones
+        assert weight(word) == length // 2
+    assert weight(np.full(length, ones)) == length
 
 
 @pytest.mark.parametrize(
     "m,length,nrows",
-    # packed (16 cells of 2 bits), unpacked (64 cells of 3 bits), one row
-    [(2, 16, 3), (3, 64, 3), (4, 16, 1)],
+    # one word (16 cells of 2 bits), four words (64 cells of 3 bits) with
+    # three and with two rows, and one row
+    [(2, 16, 3), (3, 64, 3), (3, 64, 2), (4, 16, 1)],
 )
-def test_value_shares_sum_to_the_whole_span(m, length, nrows):
+def test_value_shares_sum_to_the_whole_span(m, length, nrows, monkeypatch):
+    # every span here fits the block, top digit and all; with a limit of
+    # one word the block keeps only its lowest digit, and the others are
+    # walked
     ctx = field_new(m)
     rng = np.random.default_rng(m)
     rows = rng.integers(0, ctx.order, size=(nrows, length))
     base = rng.integers(0, ctx.order, size=length)
-    whole = _spectrum_over(ctx, rows, length, base)
-    want = np.zeros(length + 1, dtype=np.int64)
-    for msg in itertools.product(range(ctx.order), repeat=nrows):
-        word = base.copy()
-        for c, row in zip(msg, rows):
-            word ^= ctx.mul_arr(row, c)
-        want[np.count_nonzero(word)] += 1
-    assert np.array_equal(whole, want)
+    want = brute_histogram(ctx, rows, length, base)
     shares = np.array_split(rng.permutation(ctx.order), 3)
-    parts = [_spectrum_over(ctx, rows, length, base, share) for share in shares]
-    assert [int(p.sum()) for p in parts] == [
-        len(share) * ctx.order ** (nrows - 1) for share in shares
-    ]
-    assert np.array_equal(sum(parts), whole)
+    for limit in (analysis._BLOCK_DIGITS_LIMIT, 1):
+        monkeypatch.setattr(analysis, "_BLOCK_DIGITS_LIMIT", limit)
+        whole = _spectrum_over(ctx, rows, length, base)
+        assert np.array_equal(whole, want)
+        parts = [_spectrum_over(ctx, rows, length, base, share) for share in shares]
+        assert [int(p.sum()) for p in parts] == [
+            len(share) * ctx.order ** (nrows - 1) for share in shares
+        ]
+        assert np.array_equal(sum(parts), whole)
 
 
 class SerialPool:
@@ -291,8 +337,12 @@ def translation_basis(pair):
 SLICE_PAIRS = {
     "q4": lambda: instantiate_standard(2),
     "q8": lambda: instantiate_standard(3),
+    "q16": lambda: instantiate_standard(4),
+    "q32": lambda: instantiate_standard(5),
     "gf64": lambda: general_pair(0),
     "gf256": lambda: general_pair(2),
+    # x^4 + 14 x and x^4 + 15 x split over GF(2^10): 16 points
+    "gf1024": lambda: build_pair(LinearizedPoly(field_new(10), 1, (14, 0, 1))),
 }
 
 
@@ -316,12 +366,15 @@ def test_codes_are_translation_invariant(name, r, k):
 @pytest.mark.parametrize(
     "name,r,k,workers",
     [
-        # packed: 16 cells of 4 bits; k = 1 enumerates the base alone
+        # one word: 16 cells of 4 bits; k = 1 enumerates the base alone
         ("q4", 2, 1, 1), ("q4", 2, 3, 1), ("q4", 3, 4, 2),
-        # unpacked: 64 cells of 6 bits
+        # seven words: 64 cells of 6 bits
         ("q8", 2, 1, 2), ("q8", 2, 3, 1), ("q8", 2, 3, 2),
-        # evaluation sets that are proper subspaces of the field
-        ("gf64", 3, 3, 1), ("gf256", 2, 2, 2),
+        # 32 words of 8-bit cells, 171 words of 10-bit cells
+        ("q16", 2, 2, 1), ("q16", 2, 2, 2), ("q32", 2, 1, 1),
+        # evaluation sets that are proper subspaces of the field, the last
+        # in three words of 10-bit cells
+        ("gf64", 3, 3, 1), ("gf256", 2, 2, 2), ("gf1024", 2, 2, 1), ("gf1024", 2, 2, 2),
     ],
 )
 def test_slice_spectrum_matches_full_enumeration(name, r, k, workers, monkeypatch):

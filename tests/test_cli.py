@@ -259,6 +259,9 @@ c7079781e2225ba3f7bdbb0cc13f4ac29fe7fb2b625c3c6f205fcc0b6078a5c2 encode --q-log 
 aa1b56953b35b36f9c83177fd53edaf9d52f94e89d088af502a27b2b63a1e9da encode --q-log 3 --r 5 --k 20 --msg 1,2,3,4,5,6,7,8,9,a,b,c,d,e,f,10,11,12,13,3f
 c7b55e3639a27414e23d0b37d1a1dbb7090f1b0e30454ef759f464552a656efa distance --q-log 2 --r 2 --k 4 --spectrum
 6859b91d24a44be72bf29853b3759274afcbeb1d21081fae667af98c8d2220e8 distance --q-log 2 --r 3 --k 8 --budget 4294967296 --threads 2 --spectrum
+049d29eb53b771de80f4156049b4f28bb86adc18566dbcb926ad0fa58d5b0806 distance --q-log 3 --r 3 --k 4 --spectrum
+296e208b0860d10d334c8c7f9da5e95c21f1017b5b0d220911b2c9b19fe851c1 distance --q-log 4 --r 2 --k 3 --spectrum
+c185c1f7b6035535e33b8ecea73de9f06cac3ea26ce5cd5ef1a58747c88cef9f distance --q-log 5 --r 2 --k 2 --spectrum
 8ed85626bc1b06739ab8fa2e91a601dbb0ab6a9bb62d25a2274e8393e6642c98 verify --level fast
 """.strip().split("\n")
 
