@@ -32,16 +32,12 @@ from .bounds import (
 )
 from .codec import (
     CodeInstance,
-    GridWord,
     build_code,
     encode,
     export_generator_csv,
-    local_membership,
-    relabel,
-    unrelabel,
 )
 from .degrees import DegreeProfile, degree_profile, ref_basis, ref_degree_oracle
-from .field import FieldCtx, field_new, poly_compose
+from .field import FieldCtx, poly_compose
 from .linearized import (
     LinearizedPair,
     LinearizedPoly,
@@ -60,7 +56,6 @@ __all__ = [
     "DegreeProfile",
     "ErasureMask",
     "FieldCtx",
-    "GridWord",
     "LinearizedPair",
     "LinearizedPoly",
     "PeelResult",
@@ -77,11 +72,9 @@ __all__ = [
     "exact_distance",
     "exhaustive_distance",
     "export_generator_csv",
-    "field_new",
     "grid_upper",
     "gridv2_upper",
     "instantiate_standard",
-    "local_membership",
     "lower_opt",
     "lrc_upper",
     "macwilliams_transform",
@@ -90,7 +83,6 @@ __all__ = [
     "profile_lower",
     "ref_basis",
     "ref_degree_oracle",
-    "relabel",
     "root_space",
     "rs_degree_lower",
     "sampled_distance",
@@ -98,5 +90,4 @@ __all__ = [
     "spectrum_via_dual",
     "strip_margin_mask",
     "subfield",
-    "unrelabel",
 ]

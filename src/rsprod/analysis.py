@@ -30,14 +30,11 @@ import numpy as np
 
 from .codec import (
     CodeInstance,
-    GridWord,
     _grid_values,
     _line_predictions,
     _log_differences,
     encode,
     in_code,
-    relabel,
-    unrelabel,
 )
 from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
@@ -57,7 +54,6 @@ class BudgetExceeded(ValueError):
 @dataclass
 class WeightSpectrum:
     counts: dict[int, int]
-    exact: bool
 
     @property
     def total(self) -> int:
@@ -65,11 +61,6 @@ class WeightSpectrum:
 
     def min_nonzero_weight(self) -> int:
         return min(w for w, c in self.counts.items() if w > 0 and c > 0)
-
-    def to_csv(self) -> str:
-        lines = ["weight,count"]
-        lines += [f"{w},{c}" for w, c in sorted(self.counts.items()) if c > 0]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -90,36 +81,6 @@ class ErasureMask:
     @property
     def count(self) -> int:
         return int(self.erased.sum())
-
-    def to_rle(self) -> dict:
-        """Run lengths of alternating kept/erased cells, starting with kept."""
-        runs: list[int] = []
-        cur = False
-        length = 0
-        for bit in self.flat():
-            if bool(bit) == cur:
-                length += 1
-            else:
-                runs.append(length)
-                cur = bool(bit)
-                length = 1
-        runs.append(length)
-        return {"n_frak": self.n_frak, "rle": ",".join(str(x) for x in runs)}
-
-    @classmethod
-    def from_rle(cls, obj: dict) -> "ErasureMask":
-        n = int(obj["n_frak"])
-        runs = [int(x) for x in str(obj["rle"]).split(",") if x != ""]
-        flat = np.zeros(n * n, dtype=bool)
-        pos = 0
-        cur = False
-        for length in runs:
-            flat[pos : pos + length] = cur
-            pos += length
-            cur = not cur
-        if pos != n * n:
-            raise ValueError("run lengths do not cover the grid")
-        return cls.from_flat(n, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +277,7 @@ def exhaustive_distance(
             RuntimeWarning,
             stacklevel=2,
         )
-    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, code.G, workers), exact=True)
+    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, code.G, workers))
     return spectrum.min_nonzero_weight(), spectrum
 
 
@@ -385,7 +346,7 @@ def spectrum_via_dual(
     expected = ctx.order ** code.k
     if sum(primal.values()) != expected:  # pragma: no cover
         raise AssertionError("transformed spectrum has wrong total")
-    return WeightSpectrum(primal, exact=True)
+    return WeightSpectrum(primal)
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +477,23 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     all columns.  What peeling leaves is the peeling core E' of the mask,
     and a global solve in its cells finishes it off, on the parity checks
     when |E'| < k and on the generator otherwise (see erasure_recoverable);
-    a grid that peeling fills alone must pass codec.in_code.  Known symbols
-    that fit no codeword raise ValueError; an ambiguous core
-    returns no word and E' as the residual."""
+    a grid that peeling fills alone must pass codec.in_code.  A word of the
+    wrong length, a known symbol outside the field, and known symbols that
+    fit no codeword raise ValueError; an ambiguous core returns no word and
+    E' as the residual."""
     pair = code.pair
     n = code.n_frak
     if mask.n_frak != n:
         raise ValueError("mask size does not match the code")
     ctx = code.ctx
-    grid = relabel(pair, word).entries
+    word = np.asarray(word, dtype=np.int64)
+    if word.shape != (n * n,):
+        raise ValueError(f"word length must be {n * n}")
+    grid = word.reshape(n, n).copy()
     erased = mask.erased.copy()
-    grid[erased] = 0
+    grid[erased] = 0  # erased cells carry no symbol
+    if (grid >> ctx.extension_degree).any():
+        raise ValueError(f"known symbols must be elements of GF(2^{ctx.extension_degree})")
     # grid rows live on Zg and grid columns on Zf
     ld_rows = _log_differences(ctx, pair.Zg)
     ld_cols = _log_differences(ctx, pair.Zf)
@@ -541,7 +508,7 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
         # peeling forced every filled cell, so the grid is the only
         # candidate; lines without an erasure were never checked
         status = "unique" if in_code(code, grid) else "inconsistent"
-        full = unrelabel(pair, GridWord(grid))
+        full = grid.reshape(-1)
     if status == "inconsistent":
         raise ValueError("surviving symbols are not consistent with any codeword")
     if status == "unique":
@@ -581,7 +548,7 @@ def double_root_check(code: CodeInstance, msg: Sequence[int]) -> bool:
     there too; h' comes from the tensor form (see _derivative_grid)."""
     if not any(msg):
         raise ValueError("message must be nonzero")
-    grid = relabel(code.pair, encode(code, msg)).entries
+    grid = encode(code, msg).reshape(code.n_frak, code.n_frak)
     zero_rows = ~grid.any(axis=1)
     zero_cols = ~grid.any(axis=0)
     if not (zero_rows.any() and zero_cols.any()):

@@ -218,7 +218,7 @@ def cmd_erasure_sim(args: argparse.Namespace) -> int:
         "trials": total,
         "seed": args.seed,
         "recoverable": good,
-        "rate": good / total if total else None,
+        "rate": good / total,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -261,6 +261,15 @@ def _q_log(text: str) -> int:
             f"{MAX_EXTENSION_DEGREE}), got {e}"
         )
     return e
+
+
+def _positive(text: str) -> int:
+    """--threads and --trials, checked at parsing: a count of at least 1
+    (the worker count is further capped at the CPU count)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_field_flags(sp: argparse.ArgumentParser) -> None:
@@ -308,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distance", help="exhaustive or sampled minimum distance")
     _add_field_flags(sp)
     sp.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
-    sp.add_argument("--trials", type=int, default=100_000)
+    sp.add_argument("--trials", type=_positive, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)
     sp.add_argument("--spectrum", action="store_true", help="include the weight spectrum")
     sp.set_defaults(func=cmd_distance)
 
@@ -325,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int)
     sp.add_argument("--a", type=int)
     sp.add_argument("--b", type=int)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_positive, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_erasure_sim)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--level", choices=("fast", "full"), default="fast")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("figure", help="bound curves in long CSV format")

@@ -1,11 +1,12 @@
 """Concrete code instances: the tensor form of the echelon basis, generator
-matrices over the evaluation grid, encoding, and the grid/flat coordinate
-maps.
+matrices over the evaluation grid, encoding, codeword membership, and the
+barycentric line repair behind the peeling decoder.
 
 A code instance of dimension k evaluates the k lowest-degree basis
 polynomials of the product span on the pairwise-sum point set.  The flat
-coordinate i*n + j corresponds to grid cell (i, j); grid rows live on the
-Zg point set and grid columns on Zf.
+coordinate i*n + j corresponds to grid cell (i, j), so a flat word
+reshaped to (n, n) is its grid; grid rows live on the Zg point set and grid
+columns on Zf.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class CodeInstance:
     def length(self) -> int:
         return self.pair.n_frak ** 2
 
-    @property
-    def heavy_parities(self) -> int:
-        return self.r * self.r - self.k
-
     @functools.cached_property
     def H(self) -> np.ndarray:
         """Parity-check matrix, (n^2 - k) x n^2: its rows span the dual code,
@@ -82,15 +79,17 @@ class CodeInstance:
         carries the checks Phi over to the corner: row l is
         vec(A_r^-1 . Phi_l . B_r^-T), so Phi_C . vec(C) = Phi . vec(M)."""
         ctx, r = self.ctx, self.r
-        p, q, a_inv, b_inv = _product_code_maps(self.pair, r)
+        a, b = _power_tables(self.pair, r)
+        eye = np.eye(r, dtype=np.int64)
+        a_inv, b_inv = (
+            mat_rref(ctx, np.concatenate([v[:, :r], eye], axis=1))[0][:, r:]
+            for v in (a, b)
+        )
+        p = mat_mul(ctx, a[:, r:].T, a_inv.T)
+        q = mat_mul(ctx, b_inv, b)
         phi = self.Phi.reshape(-1, r, r)
         phi_c = mat_mul(ctx, a_inv, mat_mul(ctx, phi, b_inv.T)).reshape(-1, r * r)
         return p, q, phi_c
-
-
-@dataclass
-class GridWord:
-    entries: np.ndarray  # n x n, entry (i, j) sits at flat index i*n + j
 
 
 def _power_tables(pair: LinearizedPair, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,37 +109,18 @@ def _grid_values(pair: LinearizedPair, s: np.ndarray) -> np.ndarray:
     return mat_mul(pair.ctx, a.T, mat_mul(pair.ctx, s, b))
 
 
-def _product_code_maps(pair: LinearizedPair, r: int) -> tuple[np.ndarray, ...]:
-    """(P, Q, A_r^-1, B_r^-1) for the product code {A^T . M . B} of
-    (pair, r), 1 <= r <= n; see CodeInstance.corner_maps."""
-    ctx = pair.ctx
-    a, b = _power_tables(pair, r)
-    eye = np.eye(r, dtype=np.int64)
-    a_inv, b_inv = (
-        mat_rref(ctx, np.concatenate([v[:, :r], eye], axis=1))[0][:, r:]
-        for v in (a, b)
-    )
-    return mat_mul(ctx, a[:, r:].T, a_inv.T), mat_mul(ctx, b_inv, b), a_inv, b_inv
-
-
-def _in_product_code(ctx: FieldCtx, grid: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
-    """Whether an n x n grid is A^T . M . B for some r x r matrix M: with
-    the corner C = grid[:r, :r], its first r rows must be C . Q and the
-    others P . C . Q (see CodeInstance.corner_maps)."""
-    r = len(q)
-    top = mat_mul(ctx, grid[:r, :r], q)
-    return np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])
-
-
 def in_code(code: CodeInstance, grid: np.ndarray) -> bool:
     """Whether a full n x n grid is a codeword of C_k, in O(r n^2) field
     products and without H.  The r x r corner C fixes the only candidate
     message matrix M (see CodeInstance.corner_maps): the grid must be in
-    the product code, and then is in C_k iff M lies in the span of the
-    S_l, Phi_C . vec(C) = 0."""
+    the product code, A^T . M . B, so its first r rows are C . Q and the
+    others P . C . Q, and then it is in C_k iff M lies in the span of the
+    S_l, Phi_C . vec(C) = 0.  At k = r^2 this is membership in the product
+    code, every grid row and column a Reed-Solomon word of dimension r."""
     ctx, r = code.ctx, code.r
     p, q, phi_c = code.corner_maps
-    if not _in_product_code(ctx, grid, p, q):
+    top = mat_mul(ctx, grid[:r, :r], q)
+    if not (np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])):
         return False
     return not mat_mul(ctx, phi_c, grid[:r, :r].reshape(r * r, 1)).any()
 
@@ -176,24 +156,14 @@ def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
 def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
     if len(msg) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(msg)}")
-    return mat_mul(code.ctx, np.asarray(msg, dtype=np.int64)[None], code.G)[0]
-
-
-def relabel(pair: LinearizedPair, word) -> GridWord:
-    """Flat word on the sum points -> n x n grid (coordinate beta+gamma
-    becomes cell (beta index, gamma index))."""
-    n = pair.n_frak
-    w = np.asarray(word, dtype=np.int64)
-    if w.shape != (n * n,):
-        raise ValueError(f"word length must be {n * n}")
-    return GridWord(w.reshape(n, n).copy())
-
-
-def unrelabel(pair: LinearizedPair, gw: GridWord) -> np.ndarray:
-    n = pair.n_frak
-    if gw.entries.shape != (n, n):
-        raise ValueError(f"grid shape must be {(n, n)}")
-    return gw.entries.reshape(n * n).copy()
+    msg = np.asarray(msg, dtype=np.int64)
+    # one shift catches negative symbols too
+    if (msg >> code.ctx.extension_degree).any():
+        raise ValueError(
+            f"message symbols must be elements of GF(2^{code.ctx.extension_degree}), "
+            f"in [0, {code.ctx.order})"
+        )
+    return mat_mul(code.ctx, msg[None], code.G)[0]
 
 
 def _log_differences(ctx: FieldCtx, points) -> np.ndarray:
@@ -233,16 +203,6 @@ def _line_predictions(
         v = np.take_along_axis(lines[blk], a, axis=1)
         out[blk] = mat_mul(ctx, v[:, None, :], ctx.exp_arr(e))[:, 0]
     return out
-
-
-def local_membership(pair: LinearizedPair, r: int, gw: GridWord) -> bool:
-    """True iff every grid row agrees with a polynomial of degree < r on Zg
-    and every grid column with one on Zf, i.e. the grid lies in the product
-    code of (pair, r), the check in_code makes before its subcode check."""
-    if r >= pair.n_frak:
-        return True
-    p, q, _, _ = _product_code_maps(pair, r)
-    return _in_product_code(pair.ctx, gw.entries, p, q)
 
 
 def export_generator_csv(code: CodeInstance) -> str:

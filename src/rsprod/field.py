@@ -106,21 +106,7 @@ class FieldCtx:
     def __repr__(self) -> str:
         return f"FieldCtx(GF(2^{self.extension_degree}), poly={bin(self.reduction_poly)})"
 
-    def to_json(self) -> dict:
-        return {
-            "M": self.extension_degree,
-            "reduction_poly_hex": format(self.reduction_poly, "x"),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldCtx":
-        return cls(int(obj["M"]), int(obj["reduction_poly_hex"], 16))
-
     # -- scalar arithmetic --------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         """Carry-less product reduced modulo the reduction polynomial."""
@@ -229,12 +215,6 @@ class FieldCtx:
         return exp[np.asarray(e, dtype=np.int64) % (self.order - 1)]
 
 
-def field_new(m: int, reduction_poly: Optional[int] = None) -> FieldCtx:
-    """Construct GF(2^m); with no reduction polynomial given, the
-    lexicographically smallest irreducible of degree m is selected."""
-    return FieldCtx(m, reduction_poly)
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials: int64 coefficient arrays, lowest degree first.
 # ---------------------------------------------------------------------------
@@ -252,11 +232,6 @@ def poly_trim(c: np.ndarray) -> np.ndarray:
     if len(nz) == 0:
         return ZERO_POLY.copy()
     return c[: nz[-1] + 1]
-
-
-def poly_deg(c: np.ndarray) -> int:
-    """Degree, with the zero polynomial mapped to -1."""
-    return len(c) - 1
 
 
 def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

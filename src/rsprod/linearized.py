@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldCtx, field_new, poly_trim
+from .field import FieldCtx, poly_trim
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,6 @@ class LinearizedPoly:
                 cur = ctx.mul(cur, cur)
             if a:
                 acc ^= ctx.mul(a, cur)
-        return acc
-
-    def eval_many(self, xs) -> np.ndarray:
-        ctx = self.ctx
-        cur = np.asarray(xs, dtype=np.int64)
-        acc = ctx.mul_arr(cur, self.coeffs[0])
-        for a in self.coeffs[1:]:
-            for _ in range(self.q_log):
-                cur = ctx.mul_arr(cur, cur)
-            if a:
-                acc = acc ^ ctx.mul_arr(cur, a)
         return acc
 
     def to_unipoly(self) -> np.ndarray:
@@ -132,30 +121,6 @@ class LinearizedPair:
     def n_frak(self) -> int:
         return len(self.Zf)
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.f.q,
-            "M": self.ctx.extension_degree,
-            "reduction_poly_hex": format(self.ctx.reduction_poly, "x"),
-            "f_coeffs_hex": [format(c, "x") for c in self.f.coeffs],
-            "Zf_hex": [format(b, "x") for b in self.Zf],
-            "Zg_hex": [format(b, "x") for b in self.Zg],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LinearizedPair":
-        ctx = FieldCtx(int(obj["M"]), int(obj["reduction_poly_hex"], 16))
-        q = int(obj["q"])
-        f = LinearizedPoly(
-            ctx, q.bit_length() - 1, tuple(int(c, 16) for c in obj["f_coeffs_hex"])
-        )
-        pair = build_pair(f)
-        if [format(b, "x") for b in pair.Zf] != list(obj["Zf_hex"]) or [
-            format(b, "x") for b in pair.Zg
-        ] != list(obj["Zg_hex"]):
-            raise ValueError("serialized root spaces do not match the polynomial")
-        return pair
-
 
 def build_pair(f: LinearizedPoly) -> LinearizedPair:
     """General-purpose constructor: g = x - f, both root spaces, and the
@@ -196,7 +161,7 @@ def instantiate_standard(
     Zg = c*Zf, and the evaluation points run over the whole field."""
     if q_log < 1:
         raise ValueError("q must be at least 2")
-    ctx = field_new(2 * q_log, reduction_poly)
+    ctx = FieldCtx(2 * q_log, reduction_poly)
     q = 1 << q_log
     zf = subfield(ctx, q_log)
     members = set(zf)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rsprod.codec import encode, relabel
+from rsprod.codec import encode
 from rsprod.degrees import ref_basis
 from rsprod.field import (
     ZERO_POLY,
@@ -106,7 +106,7 @@ def univariate_double_root_check(code, msg) -> bool:
         raise ValueError("message must be nonzero")
     ctx = code.ctx
     h = encoded_poly(code, msg)
-    grid = relabel(code.pair, encode(code, msg)).entries
+    grid = encode(code, msg).reshape(code.n_frak, code.n_frak)
     zero_rows = [i for i in range(code.n_frak) if not grid[i].any()]
     zero_cols = [j for j in range(code.n_frak) if not grid[:, j].any()]
     hp = poly_deriv(h)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rsprod.codec import build_code
 from rsprod.degrees import degree_profile
-from rsprod.field import field_new, is_irreducible, smallest_irreducible
+from rsprod.field import FieldCtx, is_irreducible, smallest_irreducible
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard, subfield
 
 # pairs that are not the small-field instantiation: (M, q_log, f coefficients).
@@ -17,7 +17,7 @@ GENERAL_PAIRS = [(6, 1, (0xE, 0, 1)), (6, 1, (58, 0, 0, 1)), (8, 1, (46, 0, 1))]
 
 def general_pair(i: int):
     m, q_log, coeffs = GENERAL_PAIRS[i]
-    return build_pair(LinearizedPoly(field_new(m), q_log, coeffs))
+    return build_pair(LinearizedPoly(FieldCtx(m), q_log, coeffs))
 
 
 @st.composite
@@ -29,7 +29,7 @@ def pairs(draw):
         return general_pair(draw(st.integers(0, len(GENERAL_PAIRS) - 1)))
     e = draw(st.integers(1, 4))
     if kind == "c":
-        ctx = field_new(2 * e)
+        ctx = FieldCtx(2 * e)
         outside = sorted(set(ctx.elements()) - set(subfield(ctx, e)))
         return instantiate_standard(e, c=draw(st.sampled_from(outside)))
     if kind == "field-poly":

@@ -12,7 +12,7 @@ from rsprod import analysis, bounds, verify
 from rsprod.cli import main
 from rsprod.degrees import degree_profile
 from rsprod.verify import check_field_axioms
-from rsprod.field import field_new
+from rsprod.field import FieldCtx
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +313,40 @@ def test_q_log_out_of_envelope_rejected_at_parsing(capsys, monkeypatch, q_log):
         assert "argument --q-log: must be in [1, 10]" in err and f"got {q_log}" in err
 
 
+@pytest.mark.parametrize("msg", ["-1,0,0", "10,0,0"])
+def test_encode_symbol_outside_the_field_exits_2(capsys, msg):
+    # GF(2^4) holds 0..f: -1 and 0x10 are not symbols
+    code, out, err = run_cli(
+        capsys, "encode", "--q-log", "2", "--r", "2", "--k", "3", f"--msg={msg}"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: message symbols must be elements of GF(2^4), in [0, 16)\n"
+
+
+FIELD_FLAGS = ("--q-log", "2", "--r", "2", "--k", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("distance", *FIELD_FLAGS, "--threads", "0"),
+        ("distance", *FIELD_FLAGS, "--trials", "0"),
+        ("erasure-sim", *FIELD_FLAGS, "--model", "uniform-p", "--p", "0.3", "--trials", "0"),
+        ("erasure-sim", *FIELD_FLAGS, "--model", "fig1", "--a", "1", "--b", "1", "--trials", "-1"),
+        ("verify", "--threads", "0"),
+    ],
+)
+def test_counts_below_one_rejected_at_parsing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    flag, value = argv[-2:]
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be at least 1, got {value}"
+    )
+
+
 def test_verify_fast_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 0
@@ -335,7 +369,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_detects_corrupted_field():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     ctx.reduction_poly = 0b10101  # reducible: breaks inverse roundtrip
     msg = check_field_axioms(ctx, np.random.default_rng(0))
     assert msg is not None and "field axiom" in msg

@@ -1,5 +1,5 @@
-"""Code construction, encoding, relabeling, membership, and the generator
-CSV export."""
+"""Code construction, encoding, the grid layout of words, membership in C_k
+and in the product code, line repair, and the generator CSV export."""
 
 import csv
 import io
@@ -14,14 +14,10 @@ from hypothesis import strategies as st
 from rsprod.codec import (
     _line_predictions,
     _log_differences,
-    GridWord,
     build_code,
     encode,
     export_generator_csv,
     in_code,
-    local_membership,
-    relabel,
-    unrelabel,
 )
 from rsprod.degrees import ref_basis
 from rsprod.field import mat_rank, mat_solve, poly_compose, poly_eval_many
@@ -57,7 +53,6 @@ def brute_min_weight(code):
 
 def test_full_product_code_q4_r2(pair_q4):
     code = build_code(pair_q4, 2, 4)
-    assert code.heavy_parities == 0
     assert mat_rank(code.ctx, code.G) == 4
     assert brute_min_weight(code) == 9  # (n - r + 1)^2
 
@@ -72,7 +67,7 @@ def test_k1_generator_is_constant_row(pair_q4):
 
 def test_r3_k8_heavy_parity(pair_q4):
     code = build_code(pair_q4, 3, 8)
-    assert code.heavy_parities == 1
+    assert code.Phi.shape == (1, 9)  # one heavy parity: one check on messages
     assert code.S.shape == (8, 3, 3)
     assert len(ref_basis(pair_q4, 3)[code.k - 1]) - 1 == 12  # (2r - 3) * n
 
@@ -95,9 +90,18 @@ def test_encode_unit_zero_random(pair_q4):
     for _ in range(20):
         msg = rng.integers(0, 16, size=3)
         word = encode(code, msg)
-        assert local_membership(pair_q4, 2, relabel(pair_q4, word))
+        assert in_code(code, word.reshape(4, 4))
     with pytest.raises(ValueError):
         encode(code, [1, 2])
+
+
+@pytest.mark.parametrize("msg", [[-1, 0, 0], [16, 0, 0], [0, 0, 1 << 40]])
+def test_encode_rejects_symbols_outside_the_field(pair_q4, msg):
+    code = build_code(pair_q4, 2, 3)
+    with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
+        encode(code, msg)
+    with pytest.raises(ValueError):
+        encode(code, np.array(msg))
 
 
 def test_encode_in_column_blocks_matches_row_combination():
@@ -111,16 +115,6 @@ def test_encode_in_column_blocks_matches_row_combination():
         assert np.array_equal(encode(code, msg), expect)
 
 
-def test_relabel_roundtrip(pair_q4):
-    n2 = pair_q4.n_frak ** 2
-    zero = np.zeros(n2, dtype=np.int64)
-    assert not np.any(relabel(pair_q4, zero).entries)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        w = rng.integers(0, 16, size=n2)
-        assert np.array_equal(unrelabel(pair_q4, relabel(pair_q4, w)), w)
-
-
 def test_relabel_grid_of_simple_product(pair_q4):
     # s(x, y) = x*y composes to g*f; cell (beta, gamma) must hold beta*gamma
     ctx = pair_q4.ctx
@@ -128,22 +122,24 @@ def test_relabel_grid_of_simple_product(pair_q4):
     s[1, 1] = 1
     h = poly_compose(ctx, s, pair_q4.g.to_unipoly(), pair_q4.f.to_unipoly())
     word = poly_eval_many(ctx, h, np.array(pair_q4.eval_points, dtype=np.int64))
-    grid = relabel(pair_q4, word).entries
+    grid = word.reshape(4, 4)
     for i, beta in enumerate(pair_q4.Zf):
         for j, gamma in enumerate(pair_q4.Zg):
             assert int(grid[i, j]) == ctx.mul(beta, gamma)
 
 
 def test_local_membership_edge_cases(pair_q4):
+    # membership in the product code of (pair, r) is in_code on C_{r^2}
     n = pair_q4.n_frak
-    zero = relabel(pair_q4, np.zeros(n * n, dtype=np.int64))
-    assert local_membership(pair_q4, 2, zero)
-    single = np.zeros(n * n, dtype=np.int64)
-    single[5] = 7
-    assert not local_membership(pair_q4, 2, relabel(pair_q4, single))
-    assert not local_membership(pair_q4, 3, relabel(pair_q4, single))
+    zero = np.zeros((n, n), dtype=np.int64)
+    single = zero.copy()
+    single[1, 1] = 7
+    for r in (2, 3):
+        product = build_code(pair_q4, r, r * r)
+        assert in_code(product, zero)
+        assert not in_code(product, single)
     # r = n admits everything
-    assert local_membership(pair_q4, n, relabel(pair_q4, single))
+    assert in_code(build_code(pair_q4, n, n * n), single)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -177,8 +173,9 @@ def test_encoded_words_relabel_into_product_code(pair_q4):
     # every row of G, viewed on the grid, has rows/columns of local degree < r
     for r, k in ((2, 4), (3, 9), (3, 7)):
         code = build_code(pair_q4, r, k)
+        product = build_code(pair_q4, r, r * r)
         for row in code.G:
-            assert local_membership(pair_q4, r, relabel(pair_q4, row))
+            assert in_code(product, row.reshape(4, 4))
 
 
 def test_full_product_min_distance_q2():
@@ -246,14 +243,14 @@ def test_local_membership_matches_interpolation(e, data):
     # codewords, codewords off in a few cells, and whole-line changes that
     # keep the rows (or the columns) in the row code
     kind = data.draw(st.sampled_from(["codeword", "cells", "row"]), label="kind")
-    grid = relabel(pair, word).entries
+    grid = word.reshape(n, n)
     if kind == "cells":
         cells = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
         grid.reshape(-1)[cells] ^= rng.integers(1, pair.ctx.order, size=len(cells))
     elif kind == "row":
         grid[int(rng.integers(n))] = encode(code, rng.integers(0, pair.ctx.order, size=k))[:n]
-    gw = GridWord(grid)
-    assert local_membership(pair, r, gw) == reference_membership(pair, r, grid)
+    product = build_code(pair, r, r * r)
+    assert in_code(product, grid) == reference_membership(pair, r, grid)
 
 
 def test_generator_csv_export(pair_q4):
@@ -308,4 +305,4 @@ def test_in_code_matches_solve_on_the_generator(pair, data):
     if data.draw(st.booleans(), label="corrupt"):
         word[int(rng.integers(code.length))] ^= int(rng.integers(1, code.ctx.order))
     want = mat_solve(code.ctx, code.G.T, word)[0] != "inconsistent"
-    assert in_code(code, relabel(pair, word).entries) == want
+    assert in_code(code, word.reshape(pair.n_frak, -1)) == want

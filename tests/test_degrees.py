@@ -88,10 +88,10 @@ def test_ref_oracle_matches_formula(e, r):
 
 def test_ref_oracle_general_pair():
     # also holds for a pair that is not the small-field instantiation
-    from rsprod.field import field_new
+    from rsprod.field import FieldCtx
     from rsprod.linearized import LinearizedPoly, build_pair
 
-    ctx = field_new(6)
+    ctx = FieldCtx(6)
     pair = build_pair(LinearizedPoly(ctx, 1, (0xE, 0, 1)))
     for r in (1, 2, 3, 4):
         assert ref_degree_oracle(pair, r) == degree_profile(4, r).D

@@ -14,7 +14,6 @@ from rsprod import field
 from rsprod.field import (
     FieldCtx,
     bipoly_eval_many,
-    field_new,
     mat_mul,
     mat_nullspace,
     mat_rank,
@@ -59,11 +58,11 @@ def test_default_reduction_poly_is_lex_smallest_irreducible():
         c for c in range(1 << 4, 1 << 5) if brute_irreducible(c, 4)
     )
     assert expected == 0b10011  # x^4 + x + 1
-    assert field_new(4).reduction_poly == expected
+    assert FieldCtx(4).reduction_poly == expected
 
 
 def test_m1_is_gf2():
-    ctx = field_new(1)
+    ctx = FieldCtx(1)
     assert ctx.order == 2
     assert ctx.reduction_poly == 0b10
     assert ctx.mul(1, 1) == 1
@@ -75,24 +74,24 @@ def test_reducible_poly_rejected():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2
     assert gf2_mul(0b111, 0b111) == 0b10101
     with pytest.raises(ValueError):
-        field_new(4, 0b10101)
+        FieldCtx(4, 0b10101)
 
 
 def test_wrong_degree_poly_rejected():
     with pytest.raises(ValueError):
-        field_new(4, 0b1011)  # degree 3
+        FieldCtx(4, 0b1011)  # degree 3
     with pytest.raises(ValueError):
-        field_new(0)
+        FieldCtx(0)
     with pytest.raises(ValueError):
-        field_new(25)
+        FieldCtx(25)
     # the largest degree is the largest one with log/exp tables
     assert field.MAX_EXTENSION_DEGREE == 20
     with pytest.raises(ValueError, match=r"\[1, 20\]"):
-        field_new(21)
+        FieldCtx(21)
 
 
 def test_mul_examples_gf16():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     assert ctx.mul(0x2, 0x3) == 0x6
     assert ctx.mul(0x8, 0x2) == 0x3  # x^4 = x + 1 mod x^4 + x + 1
     assert ctx.mul(0x8, 0x4) == 0x6  # x^5 = x^2 + x mod x^4 + x + 1
@@ -104,7 +103,7 @@ def test_mul_examples_gf16():
 def test_mul_against_log_table_oracle(m):
     # Oracle: log/antilog tables built only from repeated multiplication
     # by a generator; arbitrary products must respect the discrete logs.
-    ctx = field_new(m)
+    ctx = FieldCtx(m)
     for g in range(2, ctx.order):
         exp = [1]
         val = g
@@ -125,7 +124,7 @@ def test_mul_against_log_table_oracle(m):
 
 
 def test_inv_examples():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     assert ctx.inv(0x1) == 0x1
     assert ctx.inv(0x2) == 0x9
     assert ctx.mul(0x2, 0x9) == 1
@@ -135,7 +134,7 @@ def test_inv_examples():
 
 @pytest.mark.parametrize("m", [2, 4, 8, 10])
 def test_field_axioms_random_triples(m):
-    ctx = field_new(m)
+    ctx = FieldCtx(m)
     rng = np.random.default_rng(1234 + m)
     triples = rng.integers(0, ctx.order, size=(10_000, 3))
     for a, b, c in triples:
@@ -147,7 +146,7 @@ def test_field_axioms_random_triples(m):
 
 
 def test_frobenius_additive_gf16_exhaustive():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     for a in ctx.elements():
         for b in ctx.elements():
             assert ctx.mul(a ^ b, a ^ b) == ctx.mul(a, a) ^ ctx.mul(b, b)
@@ -155,7 +154,7 @@ def test_frobenius_additive_gf16_exhaustive():
 
 @pytest.mark.parametrize("m", [2, 4, 8, 14])
 def test_mul_arr_matches_scalar_mul(m):
-    ctx = field_new(m)
+    ctx = FieldCtx(m)
     rng = np.random.default_rng(m)
     a = rng.integers(0, ctx.order, size=300)
     b = rng.integers(0, ctx.order, size=300)
@@ -175,7 +174,7 @@ def test_mul_arr_matches_scalar_mul(m):
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 14])
 def test_log_exp_arr_match_scalar_pow(m):
-    ctx = field_new(m)
+    ctx = FieldCtx(m)
     rng = np.random.default_rng(50 + m)
     a = rng.integers(1, ctx.order, size=300)
     a[:2] = [1, ctx.order - 1]
@@ -199,7 +198,7 @@ def test_log_exp_arr_match_scalar_pow(m):
 def test_mul_arr_zero_sentinel(m):
     # zero in either factor lands in the zero tail of the exp table, at
     # indices up to 4(q - 1) for 0 * 0
-    ctx = field_new(m)
+    ctx = FieldCtx(m)
     elems = np.arange(ctx.order)
     assert not np.any(ctx.mul_arr(elems, 0)) and not np.any(ctx.mul_arr(0, elems))
     if m <= 4:
@@ -215,7 +214,7 @@ def test_mul_arr_zero_sentinel(m):
 def test_tables_first_use_from_threads():
     # concurrent first uses may each build the tables, but every caller
     # gets a complete, correct pair
-    ctx = field_new(10)
+    ctx = FieldCtx(10)
     rng = np.random.default_rng(6)
     a = rng.integers(0, ctx.order, size=64)
     b = rng.integers(0, ctx.order, size=64)
@@ -240,18 +239,11 @@ def test_tables_first_use_from_threads():
         assert np.array_equal(got, want)
 
 
-def test_ctx_serialization_roundtrip():
-    ctx = field_new(6)
-    again = FieldCtx.from_json(ctx.to_json())
-    assert again == ctx
-    assert ctx.to_json()["reduction_poly_hex"] == format(ctx.reduction_poly, "x")
-
-
 # -- polynomials -------------------------------------------------------------
 
 
 def test_poly_mul_and_divmod_roundtrip():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     rng = np.random.default_rng(7)
     for _ in range(50):
         a = field.poly_trim(rng.integers(0, 16, size=rng.integers(1, 12)))
@@ -265,7 +257,7 @@ def test_poly_mul_and_divmod_roundtrip():
 
 
 def test_poly_eval_matches_eval_many():
-    ctx = field_new(8)
+    ctx = FieldCtx(8)
     rng = np.random.default_rng(9)
     p = field.poly_trim(rng.integers(0, 256, size=20))
     xs = rng.integers(0, 256, size=40)
@@ -283,17 +275,17 @@ def test_poly_deriv_char2():
 
 
 def test_poly_from_roots_vanishes_exactly_there():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     roots = [0x0, 0x3, 0x7]
     p = poly_from_roots(ctx, roots)
-    assert field.poly_deg(p) == 3
+    assert len(p) - 1 == 3
     for x in ctx.elements():
         val = poly_eval(ctx, p, x)
         assert (val == 0) == (x in roots)
 
 
 def test_poly_compose_constant_and_product():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     gx = poly([0, 3, 1])  # x^2 + 3x
     fx = poly([0, 2, 0, 1])  # x^3 + 2x
     one = poly_compose(ctx, np.array([[1]]), gx, fx)
@@ -305,7 +297,7 @@ def test_poly_compose_constant_and_product():
 
 
 def test_poly_compose_agrees_with_pointwise_eval():
-    ctx = field_new(8)
+    ctx = FieldCtx(8)
     rng = np.random.default_rng(11)
     gx = field.poly_trim(rng.integers(0, 256, size=5))
     fx = field.poly_trim(rng.integers(0, 256, size=4))
@@ -349,7 +341,7 @@ def scalar_mat_mul(ctx, a, b):
 def test_mat_mul_matches_scalar_triple_loop(m_deg, batches, dims, block, seed):
     # broadcast batches, 1 x k . k x 1, inner dimension 1, and small block
     # caps so that one product spans several blocks of batch, rows, columns
-    ctx = field_new(m_deg)
+    ctx = FieldCtx(m_deg)
     m, inner, n = dims
     rng = np.random.default_rng(seed)
     shape_a, shape_b = batches.input_shapes
@@ -367,7 +359,7 @@ def test_mat_mul_matches_scalar_triple_loop(m_deg, batches, dims, block, seed):
 
 
 def test_mat_mul_over_several_default_blocks():
-    ctx = field_new(8)
+    ctx = FieldCtx(8)
     rng = np.random.default_rng(21)
     a = rng.integers(0, 256, size=(1, 300))
     b = rng.integers(0, 256, size=(300, 250))  # a 75,000-element temporary
@@ -380,7 +372,7 @@ def test_mat_mul_over_several_default_blocks():
 
 
 def test_mat_rank_and_nullspace():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     rng = np.random.default_rng(3)
     a = rng.integers(0, 16, size=(4, 7))
     a[3] = a[0] ^ ctx.mul_arr(a[1], 5)  # force a dependency
@@ -399,7 +391,7 @@ def test_mat_rank_and_nullspace():
 
 
 def test_mat_solve_statuses():
-    ctx = field_new(4)
+    ctx = FieldCtx(4)
     a = np.array([[1, 2], [3, 4]], dtype=np.int64)
     x = np.array([5, 6], dtype=np.int64)
     b = np.array(
@@ -442,7 +434,7 @@ def combos(ctx, coeffs, mat):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rref_nullspace_solve_against_brute_force(m_deg, shape, consistent, seed):
-    ctx = field_new(m_deg)
+    ctx = FieldCtx(m_deg)
     rng = np.random.default_rng(seed)
     rows, inner, cols = shape
     # rank at most inner, with some rows and columns zeroed
