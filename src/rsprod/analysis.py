@@ -33,6 +33,7 @@ from .codec import (
     _grid_values,
     _line_predictions,
     _log_differences,
+    _message_matrix,
     encode,
     in_code,
 )
@@ -486,14 +487,18 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     if mask.n_frak != n:
         raise ValueError("mask size does not match the code")
     ctx = code.ctx
-    word = np.asarray(word, dtype=np.int64)
+    outside = f"known symbols must be elements of GF(2^{ctx.extension_degree})"
+    try:
+        word = np.asarray(word, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64
+        raise ValueError(outside) from None
     if word.shape != (n * n,):
         raise ValueError(f"word length must be {n * n}")
     grid = word.reshape(n, n).copy()
     erased = mask.erased.copy()
     grid[erased] = 0  # erased cells carry no symbol
     if (grid >> ctx.extension_degree).any():
-        raise ValueError(f"known symbols must be elements of GF(2^{ctx.extension_degree})")
+        raise ValueError(outside)
     # grid rows live on Zg and grid columns on Zf
     ld_rows = _log_differences(ctx, pair.Zg)
     ld_cols = _log_differences(ctx, pair.Zf)
@@ -530,14 +535,13 @@ def _derivative_grid(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
     coefficients), and in characteristic 2 the chain rule gives
     h' = sum_{a,b} M'[a, b] g^a f^b with
     M'[a, b] = g_0 M[a+1, b] [a even] + f_0 M[a, b+1] [b even],
-    whose grid values are A^T . M' . B as for the generator."""
+    whose grid values are A^T . M' . B as for the codeword."""
     ctx, pair, r = code.ctx, code.pair, code.r
-    msg = np.asarray(msg, dtype=np.int64)
-    m = mat_mul(ctx, msg[None], code.S.reshape(code.k, r * r)).reshape(r, r)
+    m = _message_matrix(code, np.asarray(msg, dtype=np.int64))
     dm = np.zeros((r, r), dtype=np.int64)
     dm[: r - 1 : 2] = ctx.mul_arr(m[1::2], pair.g.coeffs[0])
     dm[:, : r - 1 : 2] ^= ctx.mul_arr(m[:, 1::2], pair.f.coeffs[0])
-    return _grid_values(pair, dm)
+    return _grid_values(code, dm)
 
 
 def double_root_check(code: CodeInstance, msg: Sequence[int]) -> bool:

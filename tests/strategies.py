@@ -50,3 +50,14 @@ def draw_code(pair, data):
         label="k",
     )
     return build_code(pair, r, k)
+
+
+@st.composite
+def standard_codes(draw, q_logs: tuple[int, int]):
+    """A code of the standard pair at a q_log in the closed range q_logs,
+    with any 1 <= r <= n and 1 <= k <= r^2, the ends drawn often."""
+    pair = instantiate_standard(draw(st.integers(*q_logs), label="q_log"))
+    n = pair.n_frak
+    r = draw(st.sampled_from([1, n]) | st.integers(1, n), label="r")
+    k = draw(st.sampled_from([1, r * r]) | st.integers(1, r * r), label="k")
+    return build_code(pair, r, k)

@@ -565,6 +565,12 @@ def test_peel_rejects_a_wrong_length_and_symbols_outside_the_field(pair_q4):
         bad[5] = symbol
         with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
             peel_decode(code, bad, mask)
+    # Python ints past int64 fail the same way, not with OverflowError
+    for symbol in (1 << 63, 1 << 64):
+        bad = [int(x) for x in word]
+        bad[5] = symbol
+        with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
+            peel_decode(code, bad, mask)
     # an erased cell carries no symbol, so its value is not checked
     junk = word.copy()
     junk[0] = -1

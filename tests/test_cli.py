@@ -243,7 +243,8 @@ def test_erasure_sim_golden_stdout(capsys, flags, recoverable, digest):
 
 # Byte-exact stdout of the commands that erasure-sim and build do not cover:
 # sha256 of stdout, then the command line.  The 2^32 distance spectrum was
-# recorded from a full enumeration of the message space.
+# recorded from a full enumeration of the message space, and the encodes as
+# the product m G, the k = 80 one (k n^2 > 2^16) in several blocks.
 CLI_GOLDENS = """
 7dae421a73cf6404c99640c2687f16f2cfd6b4cce3b9023c9dd5ed7de7b98e62 bounds --n 32 --r 8 --k 1..64 --format csv
 4fdf303d6882a943280265a519fa605761d0de1e1e43442e51599a17da76dba7 bounds --n 32 --r 8 --k 1..64 --format json
@@ -257,6 +258,7 @@ b04e8a28cbcbb164db7ebb3ba4e715dc85697b67f17c25b38578a393581ce335 figure --name e
 1a38a8d7e0f21100f17fa4c21f3f5aef6eb6b35f69500101d30e83c983708ec2 profile --n 32 --r 8
 c7079781e2225ba3f7bdbb0cc13f4ac29fe7fb2b625c3c6f205fcc0b6078a5c2 encode --q-log 2 --r 2 --k 3 --msg 1,0,7
 aa1b56953b35b36f9c83177fd53edaf9d52f94e89d088af502a27b2b63a1e9da encode --q-log 3 --r 5 --k 20 --msg 1,2,3,4,5,6,7,8,9,a,b,c,d,e,f,10,11,12,13,3f
+7cf4988132592d61caec1b9d955d2b716e9849065c63d70ba2a605ac96f263e0 encode --q-log 5 --r 16 --k 80 --msg b,30,55,7a,9f,c4,e9,10e,133,158,17d,1a2,1c7,1ec,211,236,25b,280,2a5,2ca,2ef,314,339,35e,383,3a8,3cd,3f2,17,3c,61,86,ab,d0,f5,11a,13f,164,189,1ae,1d3,1f8,21d,242,267,28c,2b1,2d6,2fb,320,345,36a,38f,3b4,3d9,3fe,23,48,6d,92,b7,dc,101,126,14b,170,195,1ba,1df,204,229,24e,273,298,2bd,2e2,307,32c,351,376
 c7b55e3639a27414e23d0b37d1a1dbb7090f1b0e30454ef759f464552a656efa distance --q-log 2 --r 2 --k 4 --spectrum
 6859b91d24a44be72bf29853b3759274afcbeb1d21081fae667af98c8d2220e8 distance --q-log 2 --r 3 --k 8 --budget 4294967296 --threads 2 --spectrum
 049d29eb53b771de80f4156049b4f28bb86adc18566dbcb926ad0fa58d5b0806 distance --q-log 3 --r 3 --k 4 --spectrum
@@ -313,9 +315,9 @@ def test_q_log_out_of_envelope_rejected_at_parsing(capsys, monkeypatch, q_log):
         assert "argument --q-log: must be in [1, 10]" in err and f"got {q_log}" in err
 
 
-@pytest.mark.parametrize("msg", ["-1,0,0", "10,0,0"])
+@pytest.mark.parametrize("msg", ["-1,0,0", "10,0,0", "10000000000000000,0,0"])
 def test_encode_symbol_outside_the_field_exits_2(capsys, msg):
-    # GF(2^4) holds 0..f: -1 and 0x10 are not symbols
+    # GF(2^4) holds 0..f: -1, 0x10 and 2^64 (past int64) are not symbols
     code, out, err = run_cli(
         capsys, "encode", "--q-log", "2", "--r", "2", "--k", "3", f"--msg={msg}"
     )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsprod.analysis import ErasureMask, double_root_check, erasure_recoverable, peel_decode
 from rsprod.codec import (
     _line_predictions,
     _log_differences,
@@ -24,8 +25,8 @@ from rsprod.field import mat_rank, mat_solve, poly_compose, poly_eval_many
 from rsprod.linearized import instantiate_standard
 from rsprod.verify import _check_diagram
 
-from reference import interpolate
-from strategies import draw_code, pairs
+from reference import horner_generator, interpolate, univariate_double_root_check
+from strategies import draw_code, pairs, standard_codes
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +96,23 @@ def test_encode_unit_zero_random(pair_q4):
         encode(code, [1, 2])
 
 
-@pytest.mark.parametrize("msg", [[-1, 0, 0], [16, 0, 0], [0, 0, 1 << 40]])
+@pytest.mark.parametrize(
+    "msg", [[-1, 0, 0], [16, 0, 0], [0, 0, 1 << 40], [1 << 63, 0, 0], [0, 1 << 64, 0]]
+)
 def test_encode_rejects_symbols_outside_the_field(pair_q4, msg):
     code = build_code(pair_q4, 2, 3)
     with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
         encode(code, msg)
     with pytest.raises(ValueError):
         encode(code, np.array(msg))
+    if 0 <= min(msg) and max(msg) < 1 << 64:
+        # a uint64 array wraps into int64 and fails the same check
+        with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
+            encode(code, np.array(msg, dtype=np.uint64))
 
 
-def test_encode_in_column_blocks_matches_row_combination():
-    # n = 32, k = 240: encode splits the 1024 columns into uneven blocks
+def test_encode_at_n32_matches_row_combination():
+    # the erasure benchmark's code: n = 32, k = 240, 864 nonzero terms in S
     code = build_code(instantiate_standard(5), 16, 240)
     ctx = code.ctx
     rng = np.random.default_rng(11)
@@ -113,6 +120,49 @@ def test_encode_in_column_blocks_matches_row_combination():
         msg = rng.integers(0, ctx.order, size=code.k)
         expect = np.bitwise_xor.reduce(ctx.mul_arr(code.G, msg[:, None]), axis=0)
         assert np.array_equal(encode(code, msg), expect)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(code=standard_codes((2, 5)), data=st.data())
+def test_encode_matches_generator_rows(code, data):
+    # A^T M B from the nonzero entries of S against the row combination
+    # XOR_l msg_l G[l], and the tensor double-root check against the
+    # univariate reference on the same code
+    ctx, k = code.ctx, code.k
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    msg = rng.integers(0, ctx.order, size=k)
+    want = np.bitwise_xor.reduce(ctx.mul_arr(code.G, msg[:, None]), axis=0)
+    assert np.array_equal(encode(code, msg), want)
+    unit = np.zeros(k, dtype=np.int64)
+    unit[int(rng.integers(k))] = 1
+    assert np.array_equal(encode(code, unit), code.G[unit.argmax()])
+    assert not encode(code, np.zeros(k, dtype=np.int64)).any()
+    for m in (unit, msg):
+        if m.any():
+            m = [int(x) for x in m]
+            assert double_root_check(code, m) == univariate_double_root_check(code, m)
+
+
+def test_encoding_and_peeling_never_build_g_or_h():
+    # peeling repairs every mask below, so verdicts, decodes and the
+    # membership check run on S, its power tables and the corner maps alone
+    pair = instantiate_standard(4)
+    code = build_code(pair, 12, 132)
+    n, r = code.n_frak, code.r
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        msg = rng.integers(0, code.ctx.order, size=code.k)
+        word = encode(code, msg)
+        # at most n - r erasures in a row: the first row pass fills them all
+        erased = np.zeros((n, n), dtype=bool)
+        for row in erased:
+            row[rng.choice(n, size=int(rng.integers(0, n - r + 1)), replace=False)] = True
+        mask = ErasureMask(n, erased)
+        assert erasure_recoverable(code, mask)
+        res = peel_decode(code, word, mask)
+        assert res.ok and not res.used_global and np.array_equal(res.word, word)
+    assert "G" not in vars(code) and "H" not in vars(code)
+    assert np.array_equal(code.G, horner_generator(pair, ref_basis(pair, r)[: code.k]))
 
 
 def test_relabel_grid_of_simple_product(pair_q4):
