@@ -31,8 +31,9 @@ import numpy as np
 from .codec import (
     CodeInstance,
     _grid_values,
+    _anchor_bases,
+    _int_symbols,
     _line_predictions,
-    _log_differences,
     _message_matrix,
     encode,
     in_code,
@@ -374,33 +375,98 @@ def _peel_core(erased: np.ndarray, r: int) -> np.ndarray:
 
 
 def _solve_core(
-    code: CodeInstance, core: np.ndarray, values: Optional[np.ndarray] = None
+    code: CodeInstance, core: np.ndarray, grid: Optional[np.ndarray] = None
 ) -> tuple[str, Optional[np.ndarray]]:
-    """Solve for the cells of a flat erasure core from the cells outside it.
+    """Solve for the cells of an erasure core (a bool grid) from the cells
+    outside it, on whichever side has fewer unknowns, chosen from the core
+    alone: the free cells of its rows (see _solve_rows) when their number
+    N = |core| - (n - r) rho, rho the rows the core touches, is below k, and
+    otherwise the k message symbols of ``G[:, ~core]^T m = y``.
 
-    The system with fewer unknowns is used: the parity checks
-    ``H[:, core] x = H[:, ~core] y`` in the |core| erased cells when
-    |core| < k, otherwise ``G[:, ~core]^T m = y`` in the k message symbols.
-    With ``values`` None the right-hand side is zero and only the status
-    matters ("unique" iff no nonzero codeword lives on the core).  Returns
-    mat_solve's status and, when it is "unique" and values were given, the
-    completed flat word."""
-    ctx = code.ctx
-    known = ~core
-    y = np.zeros(int(known.sum()), dtype=np.int64) if values is None else values[known]
-    if int(core.sum()) < code.k:
-        h = code.H
-        rhs = mat_mul(ctx, h[:, known], y[:, None])[:, 0]
-        status, x = mat_solve(ctx, h[:, core], rhs)
-        if status == "unique" and values is not None:
-            word = values.copy()
-            word[core] = x
-            return status, word
-    else:
-        status, msg = mat_solve(ctx, code.G[:, known].T, y)
-        if status == "unique" and values is not None:
-            return status, encode(code, msg)
-    return status, None
+    With ``grid`` None only the status is computed, from one rank:
+    "unique" iff no nonzero codeword lives on the core, else "multiple".
+    With the known values in ``grid``, zero on the core, the status is
+    mat_solve's, and unless it is "inconsistent" a completed grid comes
+    with it, the only one or one of several.  The row side never sees the
+    rows and columns outside the core, so its grid is a codeword only if
+    codec.in_code says so."""
+    n, r, k = code.n_frak, code.r, code.k
+    counts = core.sum(axis=1)
+    rows = np.flatnonzero(counts)
+    if int(counts.sum()) - (n - r) * len(rows) < k:
+        return _solve_rows(code, core, rows, counts[rows], grid)
+    known = ~core.reshape(-1)
+    if grid is None:
+        return ("unique" if mat_rank(code.ctx, code.G[:, known].T) == k else "multiple"), None
+    status, msg = mat_solve(code.ctx, code.G[:, known].T, grid.reshape(-1)[known])
+    if status == "inconsistent":
+        return status, None
+    return status, encode(code, msg).reshape(n, n)
+
+
+def _solve_rows(
+    code: CodeInstance,
+    core: np.ndarray,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    grid: Optional[np.ndarray],
+) -> tuple[str, Optional[np.ndarray]]:
+    """_solve_core on the core rows' own unknowns, without H or G; ``rows``
+    are the rows the core touches and ``counts`` their erased cells.
+
+    A core row i has e_i > n - r erased cells, so fewer than r known ones.
+    On it a codeword is the degree < r polynomial through r anchors, the
+    known cells and the first d_i = e_i - (n - r) erased ones, whose values
+    are free: the row is sum_a v_a L_a over its anchors, L_a the Lagrange
+    basis polynomial of anchor a on the row, and the unknowns are the
+    N = sum_i d_i free v_a.  A grid that is zero off the core is then a
+    codeword of C_k iff every column the core touches passes the n - r
+    column checks, where anchor a enters check (t, j) as
+    checks[t, i_a] L_a[j], and the corner passes Phi_C (see
+    CodeInstance.corner_maps).  With known values, the checks of the grid
+    whose core rows run through their known anchors alone give the
+    right-hand side; the rows and columns outside the core are not checked
+    here."""
+    ctx, n, r = code.ctx, code.n_frak, code.r
+    sub = core[rows]
+    anchored = ~sub | (np.cumsum(sub, axis=1) <= (counts - (n - r))[:, None])
+    anchors = np.nonzero(anchored)[1].reshape(len(rows), r)
+    # each basis polynomial is 1 at its own anchor and 0 at the row's others
+    bases = _anchor_bases(ctx, code._log_tables[0], anchors) * ~anchored[:, None, :]
+    bases.reshape(-1, n)[np.arange(len(rows) * r), anchors.reshape(-1)] = 1
+    # the free anchors' checks, those of the columns the core touches and
+    # then Phi_C; the anchors in the corner's rows come first
+    free = sub[anchored]
+    basis = bases.reshape(-1, n)[free]
+    at_rows = np.repeat(rows, r)[free]
+    in_corner = int(np.searchsorted(at_rows, r))
+    checks = code._column_checks
+    cols = np.flatnonzero(core.any(axis=0))
+    phi = code.corner_maps[2].reshape(-1, r, r)
+    on_cols = ctx.mul_arr(checks[:, at_rows][:, None, :], basis[:, cols].T[None])
+    on_corner = np.zeros((len(phi), len(basis)), dtype=np.int64)
+    on_corner[:, :in_corner] = np.bitwise_xor.reduce(
+        ctx.mul_arr(phi[:, at_rows[:in_corner]], basis[:in_corner, :r]), axis=2
+    )
+    coef = np.concatenate([on_cols.reshape(-1, len(basis)), on_corner])
+    if grid is None:
+        return ("unique" if mat_rank(ctx, coef) == len(basis) else "multiple"), None
+
+    # the core rows through their known anchors, the free ones at zero as
+    # the grid holds them: the free anchors must cancel this grid's checks
+    values = grid[rows][anchored].reshape(len(rows), 1, r)
+    full = grid.copy()
+    full[rows] = mat_mul(ctx, values, bases)[:, 0]
+    rhs = np.concatenate([
+        mat_mul(ctx, checks, full[:, cols]).reshape(-1),
+        mat_mul(ctx, phi.reshape(len(phi), r * r), full[:r, :r].reshape(-1, 1))[:, 0],
+    ])
+    status, x = mat_solve(ctx, coef, rhs)
+    if status == "inconsistent":
+        return status, None
+    values.reshape(-1)[free] = x
+    full[rows] = mat_mul(ctx, values, bases)[:, 0]
+    return status, full
 
 
 def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
@@ -411,11 +477,13 @@ def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
     since each line is a Reed-Solomon word of dimension r, so it lies inside
     the peeling core E' of the mask alone; hence E is recoverable iff E' is.
     E' empty is recoverable and |E'| > n^2 - k is not; otherwise one rank
-    decides, on H[:, E'] when |E'| < k and on G[:, ~E'] when not.  The
-    parity-check matrix H is built lazily, once per code."""
+    decides (see _solve_core): on the free cells of the core's rows,
+    N = |E'| - (n - r) rho unknowns for rho rows, when N < k, and on
+    G[:, ~E'] when not.  No verdict builds H, and none builds G while
+    N < k."""
     if mask.n_frak != code.n_frak:
         raise ValueError("mask size does not match the code")
-    core = _peel_core(mask.erased, code.r).reshape(-1)
+    core = _peel_core(mask.erased, code.r)
     size = int(core.sum())
     if size == 0:
         return True
@@ -476,22 +544,22 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     """Iterated local repair: any grid line with at least r surviving
     symbols is interpolated and filled, all rows of a pass at once and then
     all columns.  What peeling leaves is the peeling core E' of the mask,
-    and a global solve in its cells finishes it off, on the parity checks
-    when |E'| < k and on the generator otherwise (see erasure_recoverable);
-    a grid that peeling fills alone must pass codec.in_code.  A word of the
-    wrong length, a known symbol outside the field, and known symbols that
-    fit no codeword raise ValueError; an ambiguous core returns no word and
-    E' as the residual."""
-    pair = code.pair
+    and a global solve in its cells finishes it off, on the free cells of
+    the core's rows or on the generator (see _solve_core).  The completed
+    grid, whether peeling filled it alone or the solve did, must pass
+    codec.in_code, which checks the lines that neither peeling nor the row
+    solve saw.  A word of the wrong length, a known symbol that is no
+    element of the field (not an integer, or out of range), and known
+    symbols that fit no codeword raise ValueError; an ambiguous core
+    returns no word and E' as the residual."""
     n = code.n_frak
     if mask.n_frak != n:
         raise ValueError("mask size does not match the code")
     ctx = code.ctx
     outside = f"known symbols must be elements of GF(2^{ctx.extension_degree})"
-    try:
-        word = np.asarray(word, dtype=np.int64)
-    except OverflowError:  # a Python int beyond int64
-        raise ValueError(outside) from None
+    word = _int_symbols(word)
+    if word is None:
+        raise ValueError(outside)
     if word.shape != (n * n,):
         raise ValueError(f"word length must be {n * n}")
     grid = word.reshape(n, n).copy()
@@ -500,24 +568,21 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     if (grid >> ctx.extension_degree).any():
         raise ValueError(outside)
     # grid rows live on Zg and grid columns on Zf
-    ld_rows = _log_differences(ctx, pair.Zg)
-    ld_cols = _log_differences(ctx, pair.Zf)
+    ld_rows, ld_cols = code._log_tables
     progress = True
     while progress and erased.any():
         progress = _fill_lines(ctx, code.r, ld_rows, grid, erased)
         progress |= _fill_lines(ctx, code.r, ld_cols, grid.T, erased.T)
     used_global = bool(erased.any())
+    status = "unique"
     if used_global:
-        status, full = _solve_core(code, erased.reshape(-1), grid.reshape(-1))
-    else:
-        # peeling forced every filled cell, so the grid is the only
-        # candidate; lines without an erasure were never checked
-        status = "unique" if in_code(code, grid) else "inconsistent"
-        full = grid.reshape(-1)
-    if status == "inconsistent":
+        status, grid = _solve_core(code, erased, grid)
+    # lines without an erasure were never checked, nor were those outside
+    # the core by the row solve
+    if status == "inconsistent" or not in_code(code, grid):
         raise ValueError("surviving symbols are not consistent with any codeword")
     if status == "unique":
-        return PeelResult(full, None, used_global)
+        return PeelResult(grid.reshape(-1), None, used_global)
     return PeelResult(None, ErasureMask(n, erased), used_global)
 
 

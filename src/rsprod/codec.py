@@ -16,7 +16,7 @@ import functools
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class CodeInstance:
     S[l] is the r x r coefficient matrix of basis polynomial l in the
     products g^a f^b (see build_code).  Everything else is derived from S
     and the pair on first use and kept: the k x n^2 generator G, the
-    parity checks H and Phi, and the corner maps of in_code."""
+    parity checks H and Phi, the corner maps of in_code, the grid columns'
+    checks and the log-difference tables of line repair."""
 
     pair: LinearizedPair
     r: int
@@ -57,15 +58,16 @@ class CodeInstance:
         """Generator, k x n^2: G[l] is the grid A^T . S_l . B of basis
         polynomial l (see build_code) flattened in the i*n + j order.
         Built on first use and kept: export, enumeration, sampling, H, the
-        generator-side solve and the rank reference read it, while
-        encoding, verdicts and decodes that peeling finishes do not."""
+        message-side solve of a large erasure core and the rank reference
+        read it, while encoding and the row-side erasure solve do not."""
         return _grid_values(self, self.S).reshape(self.k, self.length)
 
     @functools.cached_property
     def H(self) -> np.ndarray:
         """Parity-check matrix, (n^2 - k) x n^2: its rows span the dual code,
         so a word is a codeword iff H @ word = 0.  Built on first use and
-        kept, never by build_code."""
+        kept; spectrum_via_dual is its only reader, and no erasure verdict
+        or decode builds it."""
         return mat_nullspace(self.ctx, self.G)
 
     @functools.cached_property
@@ -100,6 +102,24 @@ class CodeInstance:
         phi = self.Phi.reshape(-1, r, r)
         phi_c = mat_mul(ctx, a_inv, mat_mul(ctx, phi, b_inv.T)).reshape(-1, r * r)
         return p, q, phi_c
+
+    @functools.cached_property
+    def _column_checks(self) -> np.ndarray:
+        """(n - r) x n checks of a grid column: a column is the evaluation
+        on Zf of a polynomial of degree < r, a row of A (see build_code),
+        iff these checks send it to zero.  Built on first use and kept."""
+        at, _ = self._powers
+        return mat_nullspace(self.ctx, at.T)
+
+    @functools.cached_property
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns): the _log_differences tables of the grid rows'
+        points Zg and the grid columns' points Zf.  Built on first use and
+        kept."""
+        return (
+            _log_differences(self.ctx, self.pair.Zg),
+            _log_differences(self.ctx, self.pair.Zf),
+        )
 
     @functools.cached_property
     def _powers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,17 +213,27 @@ def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:
     if len(msg) != code.k:
         raise ValueError(f"message length must be {code.k}, got {len(msg)}")
     m = code.ctx.extension_degree
-    try:
-        msg = np.asarray(msg, dtype=np.int64)
-        # one shift catches negative symbols too
-        outside = bool((msg >> m).any())
-    except OverflowError:  # a Python int beyond int64
-        outside = True
-    if outside:
+    msg = _int_symbols(msg)
+    # one shift catches negative symbols too
+    if msg is None or (msg >> m).any():
         raise ValueError(
             f"message symbols must be elements of GF(2^{m}), in [0, {code.ctx.order})"
         )
     return _grid_values(code, _message_matrix(code, msg)).reshape(-1)
+
+
+def _int_symbols(values) -> Optional[np.ndarray]:
+    """``values`` as an int64 array, or None unless they are integers:
+    floats, strings and Python ints past the integer dtypes are not
+    truncated into symbols.  A uint64 entry of 2^63 or more wraps to a
+    negative int64, which the callers' range check rejects."""
+    try:
+        arr = np.asarray(values)
+    except OverflowError:  # a Python int that no integer dtype holds
+        return None
+    if arr.dtype.kind not in "iu":
+        return None
+    return arr.astype(np.int64)
 
 
 def _log_differences(ctx: FieldCtx, points) -> np.ndarray:
@@ -216,32 +246,41 @@ def _log_differences(ctx: FieldCtx, points) -> np.ndarray:
     return ctx.log_arr(diff)
 
 
+def _anchor_bases(ctx: FieldCtx, ld: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of each line's anchors ``anchors[l]`` (r distinct
+    indices): entry [l, a, j] is the value at point j of the degree < r
+    polynomial that is 1 at the anchor u = anchors[l, a] and 0 at the
+    line's other anchors.
+
+    Barycentric form: with s[x] = sum_{w in U} ld[x, w] over the anchors U,
+    it is exp(s[j] - ld[u, j] - s[u]) at every point j but the other
+    anchors, because prod_{w != u} (x_j + w) / (u + w) has the logarithm
+    s[j] - ld[u, j] in its numerator and s[u] in its denominator.  At u
+    itself that is exp(0) = 1; at the other anchors the entries are not
+    meaningful, and callers that need their zeros set them."""
+    at_anchors = ld[anchors]
+    s = at_anchors.sum(axis=1)  # ld is symmetric with a zero diagonal
+    s_anchors = s[np.arange(len(anchors))[:, None], anchors]
+    return ctx.exp_arr(s[:, None, :] - at_anchors - s_anchors[:, :, None])
+
+
 def _line_predictions(
     ctx: FieldCtx, ld: np.ndarray, lines: np.ndarray, anchors: np.ndarray
 ) -> np.ndarray:
     """Values at all n points of the degree < r polynomial through the
-    cells ``anchors[l]`` (r distinct indices) of each line ``lines[l]``.
-
-    Barycentric Lagrange form: with s[x] = sum_{w in U} ld[x, w] over the
-    anchors U, the basis polynomial of anchor u is
-    L_u(x_j) = exp(s[j] - ld[u, j] - s[u]) at every non-anchor j, because
-    prod_{w != u} (x_j + w) / (u + w) has the logarithm s[j] - ld[u, j] in
-    its numerator and s[u] in its denominator.  The predictions at the
-    anchors themselves are not meaningful; callers keep their values."""
+    cells ``anchors[l]`` (r distinct indices) of each line ``lines[l]``,
+    from the anchors' Lagrange basis (see _anchor_bases).  The predictions
+    at the anchors themselves are not meaningful; callers keep their
+    values."""
     r = anchors.shape[1]
     n = lines.shape[1]
-    sel = np.zeros(lines.shape, dtype=np.int64)
-    np.put_along_axis(sel, anchors, 1, axis=1)
-    s = sel @ ld  # ld is symmetric with a zero diagonal
     out = np.empty(lines.shape, dtype=np.int64)
-    # blocks of lines bound the (lines, r, n) exponent arrays
+    # blocks of lines bound the (lines, r, n) basis arrays
     step = max(1, _BLOCK_ELEMS // (r * n))
     for lo in range(0, len(lines), step):
         blk = slice(lo, lo + step)
-        a, sb = anchors[blk], s[blk]
-        e = sb[:, None, :] - ld[a] - np.take_along_axis(sb, a, axis=1)[:, :, None]
-        v = np.take_along_axis(lines[blk], a, axis=1)
-        out[blk] = mat_mul(ctx, v[:, None, :], ctx.exp_arr(e))[:, 0]
+        v = np.take_along_axis(lines[blk], anchors[blk], axis=1)
+        out[blk] = mat_mul(ctx, v[:, None, :], _anchor_bases(ctx, ld, anchors[blk]))[:, 0]
     return out
 
 

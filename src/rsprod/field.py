@@ -397,28 +397,32 @@ def _row_reduce(ctx: FieldCtx, mat: np.ndarray, full: bool) -> list[int]:
     returns the pivot columns.  Each pivot is the first nonzero entry of its
     column at or below the next pivot row, moved up and scaled to 1.  The
     pivot policy: ``full`` clears its column above and below (reduced row
-    echelon form), otherwise only below."""
+    echelon form), otherwise only below.  Products are taken straight from
+    the tables (see FieldCtx._tables), as in mat_mul."""
+    exp, log = ctx._tables()
     nrows, ncols = mat.shape
     pivots: list[int] = []
     for col in range(ncols):
         pr = len(pivots)
         if pr == nrows:
             break
-        nz = np.nonzero(mat[pr:, col])[0]
+        nz = np.flatnonzero(mat[pr:, col])
         if len(nz) == 0:
             continue
         row = pr + int(nz[0])
         if row != pr:
             mat[[pr, row]] = mat[[row, pr]]
-        # the pivot row is zero left of col, so only columns col.. change
-        mat[pr, col:] = ctx.mul_arr(mat[pr, col:], ctx.inv_arr(mat[pr, col]))
+        # the pivot row is zero left of col, so only columns col.. change;
+        # dividing by the pivot p adds (q - 1) - log p to the logarithms
+        prow = exp[log[mat[pr, col:]] + (ctx.order - 1 - log[mat[pr, col]])]
+        mat[pr, col:] = prow
         if full:
-            others = np.nonzero(mat[:, col])[0]
+            others = np.flatnonzero(mat[:, col])
             others = others[others != pr]
         else:
-            others = pr + 1 + np.nonzero(mat[pr + 1 :, col])[0]
+            others = pr + 1 + np.flatnonzero(mat[pr + 1 :, col])
         if len(others):
-            mat[others, col:] ^= ctx.mul_arr(mat[others, col][:, None], mat[pr, col:][None, :])
+            mat[others, col:] ^= exp[log[mat[others, col]][:, None] + log[prow]]
         pivots.append(col)
     return pivots
 
@@ -432,7 +436,12 @@ def mat_rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def mat_rank(ctx: FieldCtx, a: np.ndarray) -> int:
-    return len(mat_rref(ctx, a)[1])
+    """Rank, from a row echelon form: the pivots of the reduced form are
+    the same columns, so nothing above a pivot needs clearing."""
+    r = np.array(a, dtype=np.int64, copy=True)
+    if r.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    return len(_row_reduce(ctx, r, full=False))
 
 
 def mat_nullspace(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:

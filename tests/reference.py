@@ -1,8 +1,8 @@
 """Reference implementations that the tests hold the package to: Horner
 evaluation, formal derivatives, Lagrange interpolation, the Horner-built
 generator and the univariate double-root check for the tensor-form code, the
-full 2-D scan for the grid bound, and the enumeration of a whole span for
-the one-slice spectra.
+full 2-D scan for the grid bound, the enumeration of a whole span for the
+one-slice spectra, and the parity-check solve of an erasure core.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -21,6 +21,7 @@ from rsprod.field import (
     ZERO_POLY,
     FieldCtx,
     mat_mul,
+    mat_solve,
     poly_add,
     poly_divmod,
     poly_eval_many,
@@ -152,3 +153,20 @@ def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
         words = mat_mul(ctx, index[:, None] // places % q, rows)
         counts += np.bincount(np.count_nonzero(words, axis=1), minlength=len(counts))
     return {w: int(c) for w, c in enumerate(counts) if c}
+
+
+def parity_check_solve(code, core, values=None):
+    """The cells of a bool erasure core from the cells outside it, through
+    the dense parity checks: ``H[:, core] x = H[:, ~core] y``, with y zero
+    when ``values`` is None.  Returns mat_solve's status and, when it is
+    "unique" and values were given, the completed flat word."""
+    ctx, core = code.ctx, core.reshape(-1)
+    known = ~core
+    y = np.zeros(int(known.sum()), dtype=np.int64) if values is None else values[known]
+    h = code.H
+    status, x = mat_solve(ctx, h[:, core], mat_mul(ctx, h[:, known], y[:, None])[:, 0])
+    if status != "unique" or values is None:
+        return status, None
+    word = np.array(values, dtype=np.int64)
+    word[core] = x
+    return status, word

@@ -33,12 +33,12 @@ from rsprod.analysis import (
 )
 from rsprod.bounds import exact_distance
 from rsprod.cli import main
-from rsprod.codec import _log_differences, build_code, encode
+from rsprod.codec import _log_differences, build_code, encode, in_code
 from rsprod.field import FieldCtx, mat_nullspace, mat_rank, mat_solve, poly_eval_many
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
 from rsprod.verify import _check_peel_consistency
 
-from reference import full_spectrum, interpolate
+from reference import full_spectrum, interpolate, parity_check_solve
 from strategies import general_pair
 
 
@@ -571,6 +571,18 @@ def test_peel_rejects_a_wrong_length_and_symbols_outside_the_field(pair_q4):
         bad[5] = symbol
         with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
             peel_decode(code, bad, mask)
+    # a float or string symbol is not truncated into the field, and a float
+    # word is refused whole, even one whose every symbol is integral
+    for symbol in (5.5, "5"):
+        bad = [int(x) for x in word]
+        bad[5] = symbol
+        with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
+            peel_decode(code, bad, mask)
+    halves = word.astype(float)
+    halves[5] += 0.5
+    for bad in (halves, word.astype(float)):
+        with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
+            peel_decode(code, bad, mask)
     # an erased cell carries no symbol, so its value is not checked
     junk = word.copy()
     junk[0] = -1
@@ -721,9 +733,11 @@ def test_peel_mismatch_first_seen_in_column_pass(pair_q4):
 # Structural oracle (peeling core + smaller-side rank) against the rank oracle
 # ---------------------------------------------------------------------------
 
-# (e, r, k): cores land below k (parity-check side) and at or above k
-# (generator side) across these codes
-ORACLE_CASES = [(2, 2, 3), (2, 3, 7), (3, 3, 4), (3, 5, 20), (4, 12, 132)]
+# (e, r, k): the cores' free row cells N (see analysis._solve_core) land
+# below k (the row route) and at or above it (the generator route) across
+# these codes; at (16, 12, 132) and (16, 12, 143) every core small enough to
+# be recoverable takes the row route, since N <= |E'| <= n^2 - k < k
+ORACLE_CASES = [(2, 2, 3), (2, 3, 7), (3, 3, 4), (3, 5, 20), (4, 12, 132), (4, 12, 143)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -742,6 +756,41 @@ def block_noise_masks(draw, n):
     er = np.random.default_rng(seed).random((n, n)) < p
     er[np.ix_(rows, cols)] = True
     return ErasureMask(n, er)
+
+
+@st.composite
+def uniform_masks(draw, n):
+    """Every cell erased with one probability."""
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ErasureMask(n, np.random.default_rng(seed).random((n, n)) < p)
+
+
+@st.composite
+def route_boundary_masks(draw, n, r, k):
+    """An a x b block of erasures on random rows and columns, its own
+    peeling core since a, b > n - r, with N = a (b - (n - r)) free row cells
+    among the nearest to k from below and from above: both sides of the
+    choice between the row route and the generator route.  Up to two
+    cells of the block may survive."""
+    d = n - r
+    sizes = [(a, b) for a in range(d + 1, n + 1) for b in range(d + 1, n + 1)]
+    below = sorted((a * (b - d), a, b) for a, b in sizes if a * (b - d) < k)[-4:]
+    above = sorted((a * (b - d), a, b) for a, b in sizes if a * (b - d) >= k)[:4]
+    _, a, b = draw(st.sampled_from(below + above))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    er = np.zeros((n, n), dtype=bool)
+    er[np.ix_(rng.choice(n, a, replace=False), rng.choice(n, b, replace=False))] = True
+    er.flat[rng.choice(np.flatnonzero(er), draw(st.integers(0, 2)), replace=False)] = False
+    return ErasureMask(n, er)
+
+
+def erasure_masks(code):
+    return (
+        block_noise_masks(code.n_frak)
+        | uniform_masks(code.n_frak)
+        | route_boundary_masks(code.n_frak, code.r, code.k)
+    )
 
 
 def sequential_core(erased, r, rows_first):
@@ -765,17 +814,18 @@ def sequential_core(erased, r, rows_first):
 @given(data=st.data())
 def test_structural_oracle_matches_rank(e, r, k, data):
     code = cached_code(e, r, k)
-    mask = data.draw(block_noise_masks(code.n_frak))
+    mask = data.draw(erasure_masks(code))
     assert erasure_recoverable(code, mask) == _rank_recoverable(code, mask)
 
 
-@pytest.mark.parametrize("e,r,k", [(2, 3, 7), (3, 5, 20)])
+@pytest.mark.parametrize("e,r,k", [(2, 3, 7), (3, 5, 20), (4, 12, 132), (4, 12, 143)])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_peel_residual_is_mask_core(e, r, k, data):
     code = cached_code(e, r, k)
-    mask = data.draw(block_noise_masks(code.n_frak))
-    msg = data.draw(st.lists(st.integers(0, code.ctx.order - 1), min_size=k, max_size=k))
+    ctx = code.ctx
+    mask = data.draw(erasure_masks(code))
+    msg = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=k, max_size=k))
     word = encode(code, msg)
     core = _peel_core(mask.erased, r)
     res = peel_decode(code, word, mask)
@@ -786,7 +836,70 @@ def test_peel_residual_is_mask_core(e, r, k, data):
         assert np.array_equal(res.residual.erased, core)
     # the global fallback against the solve on all survivors
     surv = ~mask.flat()
-    assert res.ok == (mat_solve(code.ctx, code.G[:, surv].T, word[surv])[0] == "unique")
+    assert res.ok == (mat_solve(ctx, code.G[:, surv].T, word[surv])[0] == "unique")
+    # one wrong known symbol raises exactly when no codeword fits the
+    # survivors, whether peeling, the core's solve or in_code finds it;
+    # otherwise the decoder returns the codeword that fits, if only one does
+    if surv.any():
+        bad = word.copy()
+        cell = data.draw(st.sampled_from(np.flatnonzero(surv).tolist()), label="cell")
+        bad[cell] ^= data.draw(st.integers(1, ctx.order - 1), label="error")
+        status, msg = mat_solve(ctx, code.G[:, surv].T, bad[surv])
+        if status == "inconsistent":
+            with pytest.raises(ValueError, match="interpolation mismatch|not consistent"):
+                peel_decode(code, bad, mask)
+        else:
+            res = peel_decode(code, bad, mask)
+            assert res.ok == (status == "unique")
+            assert np.array_equal(res.word, encode(code, msg)) if res.ok else res.residual.erased.any()
+
+
+@pytest.mark.parametrize("block", [6, 13])
+def test_row_solve_leaves_the_lines_outside_the_core_to_in_code(block):
+    # a block x block block at (16, 12, 132) is its own core, and the row
+    # route takes it (N = 6 * 2 or 13 * 9 < k): the 6 x 6 core is
+    # recoverable and the 13 x 13 one is not.  Cell (15, 15) lies on a row
+    # and a column that carry no erasure, so neither peeling nor the row
+    # solve sees it, and only the final in_code finds a wrong symbol there.
+    code = cached_code(4, 12, 132)
+    n = code.n_frak
+    er = np.zeros((n, n), dtype=bool)
+    er[:block, :block] = True
+    mask = ErasureMask(n, er)
+    word = encode(code, np.arange(code.k) % code.ctx.order)
+    res = peel_decode(code, word, mask)
+    assert res.used_global and res.ok == (block == 6) == _rank_recoverable(code, mask)
+    assert np.array_equal(res.word, word) if res.ok else np.array_equal(res.residual.erased, er)
+    bad = word.reshape(n, n).copy()
+    bad[15, 15] ^= 1
+    grid = np.where(er, 0, bad)
+    status, full = analysis._solve_core(code, er, grid)
+    assert status == ("unique" if block == 6 else "multiple")
+    assert not in_code(code, full)
+    with pytest.raises(ValueError, match="not consistent with any codeword"):
+        peel_decode(code, bad.reshape(-1), mask)
+
+
+def test_row_route_matches_the_parity_check_route_at_n32():
+    # at (32, 24, 575) a rank on G takes too long here, so a few masks are
+    # held to the solve on the dense parity checks instead
+    code = build_code(instantiate_standard(5), 24, 575)
+    n, r = code.n_frak, code.r
+    rng = np.random.default_rng(21)
+    verdicts = []
+    for p in (0.3, 0.45, 0.5):
+        mask = ErasureMask(n, rng.random((n, n)) < p)
+        core = _peel_core(mask.erased, r)
+        assert core.sum() - (n - r) * core.any(axis=1).sum() < code.k
+        word = encode(code, rng.integers(0, code.ctx.order, size=code.k))
+        want, full = parity_check_solve(code, core, word)
+        verdict = erasure_recoverable(code, mask)
+        assert verdict == (want == "unique") == (parity_check_solve(code, core)[0] == "unique")
+        res = peel_decode(code, word, mask)
+        assert res.ok == verdict
+        assert np.array_equal(res.word, full) if verdict else np.array_equal(res.residual.erased, core)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -806,10 +919,13 @@ def test_peel_core_of_block_margin_is_black_block():
 
 
 @pytest.mark.parametrize("e,r,k,side", [(3, 5, 20, 4), (3, 5, 20, 5), (4, 12, 132, 5),
-                                        (4, 12, 132, 12)])
+                                        (4, 12, 132, 12), (3, 5, 20, 6), (2, 2, 3, 3),
+                                        (3, 3, 4, 6)])
 def test_structural_oracle_on_blocks_both_sides(e, r, k, side):
-    # a side x side block is its own core; 4*4 < 20 and 5*5 < 132 take the
-    # parity-check side, 5*5 >= 20 and 12*12 >= 132 the generator side
+    # a side x side block is its own core with N = side (side - (n - r))
+    # free row cells; the row route takes N < k, that is sides 4, 5 and 6
+    # at (8, 5, 20) and 5 and 12 at (16, 12, 132), and the generator route
+    # N >= k, side 3 at (4, 2, 3) and side 6 at (8, 3, 4)
     code = cached_code(e, r, k)
     er = np.zeros((code.n_frak, code.n_frak), dtype=bool)
     er[:side, :side] = True

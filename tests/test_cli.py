@@ -212,6 +212,10 @@ ERASURE_SIM_GOLDENS = [
     pytest.param("--q-log 5 --r 16 --k 240 --model uniform-p --p 0.15 --trials 3 --seed 1", 3,
                  "6472ec52daabfa627f02fbaae56f47bf64d6bf73495a6a9f536e70fc4884de88",
                  id="uniform-n32"),
+    # recorded from the solve on the dense parity checks H[:, E']
+    pytest.param("--q-log 5 --r 24 --k 575 --model uniform-p --p 0.45 --trials 10 --seed 1", 3,
+                 "611d911ff817ac934f8b0fd7403534daaa3ae73020764c441807fa95407e8426",
+                 id="uniform-n32-dense"),
     pytest.param("--q-log 3 --r 5 --k 20 --model random-t-cells --t 44 --trials 40 --seed 4", 32,
                  "c09462d9d9026f680b5cab7b719ed308c4ca4f2e6290b4b21c762f709adddb82",
                  id="t-cells-n8"),

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsprod.analysis import ErasureMask, double_root_check, erasure_recoverable, peel_decode
+from rsprod.analysis import (
+    ErasureMask,
+    _peel_core,
+    double_root_check,
+    erasure_recoverable,
+    peel_decode,
+)
 from rsprod.codec import (
     _line_predictions,
     _log_differences,
@@ -97,15 +103,20 @@ def test_encode_unit_zero_random(pair_q4):
 
 
 @pytest.mark.parametrize(
-    "msg", [[-1, 0, 0], [16, 0, 0], [0, 0, 1 << 40], [1 << 63, 0, 0], [0, 1 << 64, 0]]
+    "msg",
+    [
+        [-1, 0, 0], [16, 0, 0], [0, 0, 1 << 40], [1 << 63, 0, 0], [0, 1 << 64, 0],
+        # not integers: nothing is truncated into a symbol, not even 2.0
+        [1.5, 0, 0], ["1", 0, 0], [0, 0, 2.0],
+    ],
 )
 def test_encode_rejects_symbols_outside_the_field(pair_q4, msg):
     code = build_code(pair_q4, 2, 3)
     with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
         encode(code, msg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
         encode(code, np.array(msg))
-    if 0 <= min(msg) and max(msg) < 1 << 64:
+    if all(type(x) is int for x in msg) and 0 <= min(msg) and max(msg) < 1 << 64:
         # a uint64 array wraps into int64 and fails the same check
         with pytest.raises(ValueError, match=r"GF\(2\^4\)"):
             encode(code, np.array(msg, dtype=np.uint64))
@@ -163,6 +174,30 @@ def test_encoding_and_peeling_never_build_g_or_h():
         assert res.ok and not res.used_global and np.array_equal(res.word, word)
     assert "G" not in vars(code) and "H" not in vars(code)
     assert np.array_equal(code.G, horner_generator(pair, ref_basis(pair, r)[: code.k]))
+
+
+def test_dense_verdicts_and_decodes_build_neither_g_nor_h():
+    # at p = 0.45 peeling leaves a core whose rows have fewer free cells than
+    # k, so verdicts and the global fallback run on the rows' own unknowns:
+    # S, the column checks, the corner maps and the log tables alone
+    code = build_code(instantiate_standard(4), 12, 132)
+    n, r = code.n_frak, code.r
+    rng = np.random.default_rng(13)
+    verdicts = []
+    while len(verdicts) < 8:
+        mask = ErasureMask(n, rng.random((n, n)) < 0.45)
+        core = _peel_core(mask.erased, r)
+        if not core.any():
+            continue
+        assert core.sum() - (n - r) * core.any(axis=1).sum() < code.k
+        word = encode(code, rng.integers(0, code.ctx.order, size=code.k))
+        verdict = erasure_recoverable(code, mask)
+        res = peel_decode(code, word, mask)
+        assert res.used_global and res.ok == verdict
+        assert np.array_equal(res.word, word) if verdict else np.array_equal(res.residual.erased, core)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+    assert "G" not in vars(code) and "H" not in vars(code)
 
 
 def test_relabel_grid_of_simple_product(pair_q4):
