@@ -378,10 +378,13 @@ def _solve_core(
     code: CodeInstance, core: np.ndarray, grid: Optional[np.ndarray] = None
 ) -> tuple[str, Optional[np.ndarray]]:
     """Solve for the cells of an erasure core (a bool grid) from the cells
-    outside it, on whichever side has fewer unknowns, chosen from the core
-    alone: the free cells of its rows (see _solve_rows) when their number
-    N = |core| - (n - r) rho, rho the rows the core touches, is below k, and
-    otherwise the k message symbols of ``G[:, ~core]^T m = y``.
+    outside it, on a side chosen from the core alone: the free cells of its
+    rows (see _solve_rows) when their number N = |core| - (n - r) rho, rho
+    the rows the core touches, is below k, and otherwise the k message
+    symbols of ``G[:, ~core]^T m = y``.  A core of more than n^2 - k cells
+    carries a nonzero codeword, so its solve only tells "multiple" from
+    "inconsistent"; it stays on the rows whatever N is, which costs less
+    than G and never builds it.
 
     With ``grid`` None only the status is computed, from one rank:
     "unique" iff no nonzero codeword lives on the core, else "multiple".
@@ -393,7 +396,8 @@ def _solve_core(
     n, r, k = code.n_frak, code.r, code.k
     counts = core.sum(axis=1)
     rows = np.flatnonzero(counts)
-    if int(counts.sum()) - (n - r) * len(rows) < k:
+    size = int(counts.sum())
+    if size - (n - r) * len(rows) < k or size > n * n - k:
         return _solve_rows(code, core, rows, counts[rows], grid)
     known = ~core.reshape(-1)
     if grid is None:
@@ -480,7 +484,7 @@ def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
     decides (see _solve_core): on the free cells of the core's rows,
     N = |E'| - (n - r) rho unknowns for rho rows, when N < k, and on
     G[:, ~E'] when not.  No verdict builds H, and none builds G while
-    N < k."""
+    N < k; an over-size core is refused before any solve."""
     if mask.n_frak != code.n_frak:
         raise ValueError("mask size does not match the code")
     core = _peel_core(mask.erased, code.r)
@@ -545,7 +549,9 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     symbols is interpolated and filled, all rows of a pass at once and then
     all columns.  What peeling leaves is the peeling core E' of the mask,
     and a global solve in its cells finishes it off, on the free cells of
-    the core's rows or on the generator (see _solve_core).  The completed
+    the core's rows or on the generator (see _solve_core); a core of more
+    than n^2 - k cells, which cannot be unique, is solved on its rows only
+    to tell an ambiguous core from inconsistent symbols.  The completed
     grid, whether peeling filled it alone or the solve did, must pass
     codec.in_code, which checks the lines that neither peeling nor the row
     solve saw.  A word of the wrong length, a known symbol that is no

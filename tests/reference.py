@@ -170,3 +170,36 @@ def parity_check_solve(code, core, values=None):
     word = np.array(values, dtype=np.int64)
     word[core] = x
     return status, word
+
+
+def row_reduce(ctx: FieldCtx, mat: np.ndarray, full: bool) -> list[int]:
+    """The elimination loop that field._row_reduce replaced, unchanged: the
+    same pivot policy, in place, returning the pivot columns, with the
+    pivot and the rows to clear found by separate scans and the swap and
+    the update through fancy indexing."""
+    exp, log = ctx._tables()
+    nrows, ncols = mat.shape
+    pivots: list[int] = []
+    for col in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        nz = np.flatnonzero(mat[pr:, col])
+        if len(nz) == 0:
+            continue
+        row = pr + int(nz[0])
+        if row != pr:
+            mat[[pr, row]] = mat[[row, pr]]
+        # the pivot row is zero left of col, so only columns col.. change;
+        # dividing by the pivot p adds (q - 1) - log p to the logarithms
+        prow = exp[log[mat[pr, col:]] + (ctx.order - 1 - log[mat[pr, col]])]
+        mat[pr, col:] = prow
+        if full:
+            others = np.flatnonzero(mat[:, col])
+            others = others[others != pr]
+        else:
+            others = pr + 1 + np.flatnonzero(mat[pr + 1 :, col])
+        if len(others):
+            mat[others, col:] ^= exp[log[mat[others, col]][:, None] + log[prow]]
+        pivots.append(col)
+    return pivots

@@ -883,7 +883,7 @@ def test_row_solve_leaves_the_lines_outside_the_core_to_in_code(block):
 def test_row_route_matches_the_parity_check_route_at_n32():
     # at (32, 24, 575) a rank on G takes too long here, so a few masks are
     # held to the solve on the dense parity checks instead
-    code = build_code(instantiate_standard(5), 24, 575)
+    code = cached_code(5, 24, 575)
     n, r = code.n_frak, code.r
     rng = np.random.default_rng(21)
     verdicts = []
@@ -900,6 +900,46 @@ def test_row_route_matches_the_parity_check_route_at_n32():
         assert np.array_equal(res.word, full) if verdict else np.array_equal(res.residual.erased, core)
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def test_over_size_cores_are_solved_on_the_rows_at_n32():
+    # at p = 0.85 the core is larger than n^2 - k = 449, so the decode only
+    # tells an ambiguous core from inconsistent symbols, and it does so on
+    # the core's rows although N >= k there: G is never built.  Row 5
+    # survives whole, so a wrong symbol on it fits no codeword, while one
+    # elsewhere leaves the core ambiguous.
+    code = build_code(instantiate_standard(5), 24, 575)
+    n, r, k = code.n_frak, code.r, code.k
+    rng = np.random.default_rng(87)
+    er = rng.random((n, n)) < 0.85
+    er[5] = False
+    mask = ErasureMask(n, er)
+    core = _peel_core(er, r)
+    assert core.sum() > n * n - k and core.sum() - (n - r) * core.any(axis=1).sum() >= k
+    word = encode(code, rng.integers(0, code.ctx.order, size=k))
+    res = peel_decode(code, word, mask)
+    assert res.used_global and not res.ok and np.array_equal(res.residual.erased, core)
+    cells = [5 * n + 7, int(np.flatnonzero(~er[6:].reshape(-1))[0]) + 6 * n]
+    raised = []
+    for cell in cells:
+        bad = word.copy()
+        bad[cell] ^= 1
+        try:
+            res = peel_decode(code, bad, mask)
+        except ValueError as exc:
+            assert "not consistent" in str(exc)
+            raised.append(True)
+        else:
+            assert not res.ok and np.array_equal(res.residual.erased, core)
+            raised.append(False)
+    assert "G" not in vars(code)
+    # the same statuses from the dense parity checks
+    ref = cached_code(5, 24, 575)
+    for cell, got in zip(cells, raised):
+        bad = word.copy()
+        bad[cell] ^= 1
+        assert got == (parity_check_solve(ref, core, bad)[0] == "inconsistent")
+    assert raised == [True, False]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 """Field arithmetic: constructor rules, scalar ops, vectorized ops, polynomials."""
 
+import functools
 import itertools
 import sys
 import threading
@@ -28,7 +29,7 @@ from rsprod.field import (
     poly_mul,
 )
 
-from reference import poly_deriv, poly_eval
+from reference import poly_deriv, poly_eval, row_reduce
 
 
 def gf2_mul(a, b):
@@ -469,3 +470,46 @@ def test_rref_nullspace_solve_against_brute_force(m_deg, shape, consistent, seed
     assert status == {0: "inconsistent", 1: "unique"}.get(solutions, "multiple")
     if x is not None:
         assert np.array_equal(scalar_mat_mul(ctx, a, x[:, None])[:, 0], b)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_ctx(m):
+    return FieldCtx(m)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A matrix over GF(2^m) in int64 or int32: empty, tall, wide or
+    square-ish, with duplicated rows, zero columns and zero leading rows
+    that force the pivot search to swap."""
+    ctx = cached_ctx(draw(st.sampled_from([1, 2, 4, 8, 10, 20])))
+    rows, cols = shape = draw(
+        st.one_of(
+            st.tuples(st.just(0), st.integers(0, 6)),
+            st.tuples(st.integers(0, 6), st.just(0)),
+            st.tuples(st.integers(8, 30), st.integers(1, 6)),
+            st.tuples(st.integers(1, 6), st.integers(8, 30)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, ctx.order, size=shape)
+    if rows and cols:
+        a[:, rng.random(cols) < draw(st.sampled_from([0, 0.3, 0.7]))] = 0
+        a[: draw(st.integers(0, rows))] = 0
+        for _ in range(draw(st.integers(0, 3))):
+            # a row equal to another, or to a multiple of it
+            i, j = rng.integers(0, rows, size=2)
+            a[i] = ctx.mul_arr(a[j], int(rng.integers(0, ctx.order)) if rng.random() < 0.5 else 1)
+    return ctx, a.astype(draw(st.sampled_from([np.int64, np.int32])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=elimination_inputs(), full=st.booleans())
+def test_row_reduce_matches_the_reference_loop(case, full):
+    # the kernel against the loop it replaced: the same pivots and, in
+    # place, the same bytes in the matrix's own dtype
+    ctx, a = case
+    got, want = a.copy(), a.copy()
+    assert field._row_reduce(ctx, got, full) == row_reduce(ctx, want, full)
+    assert got.dtype == a.dtype and got.tobytes() == want.tobytes()
