@@ -70,6 +70,16 @@ class ErasureMask:
     n_frak: int
     erased: np.ndarray  # bool grid (n, n); flat index i*n + j is cell (i, j)
 
+    def __post_init__(self) -> None:
+        # an int grid would index whole rows, and a grid of another size
+        # would be read as a different mask
+        self.erased = np.asarray(self.erased, dtype=bool)
+        if self.erased.shape != (self.n_frak, self.n_frak):
+            raise ValueError(
+                f"erasure grid must have shape ({self.n_frak}, {self.n_frak}), "
+                f"got {self.erased.shape}"
+            )
+
     @classmethod
     def from_flat(cls, n_frak: int, flat) -> "ErasureMask":
         flat = np.asarray(flat, dtype=bool)
@@ -523,7 +533,8 @@ def _fill_lines(
 ) -> bool:
     """One pass of local repair over the rows of ``lines`` (values on the
     point set of ``ld``), in place: every line with an erasure and at least
-    r survivors is interpolated through its first r survivors and filled.
+    r survivors is interpolated through its first r survivors, its anchors,
+    and predicted at its n - r other cells (see codec._line_predictions).
     The lines of a pass are independent, so they are filled at once.  A
     known symbol off the prediction raises ValueError; returns whether any
     line was filled."""
@@ -535,29 +546,34 @@ def _fill_lines(
     vals = lines[todo]
     known = ~erased[todo]
     first = known & (np.cumsum(known, axis=1) <= r)
+    rest = ~first
     anchors = np.nonzero(first)[1].reshape(len(todo), r)
-    pred = _line_predictions(ctx, ld, vals, anchors)
-    if np.any((pred != vals) & known & ~first):
+    others = np.nonzero(rest)[1].reshape(len(todo), n - r)
+    values = vals[first].reshape(len(todo), r)
+    pred = _line_predictions(ctx, ld, values, anchors, others).reshape(-1)
+    if np.any((pred != vals[rest]) & known[rest]):
         raise ValueError("interpolation mismatch on a known symbol")
-    lines[todo] = np.where(known, vals, pred)
+    vals[rest] = pred
+    lines[todo] = vals
     erased[todo] = False
     return True
 
 
 def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     """Iterated local repair: any grid line with at least r surviving
-    symbols is interpolated and filled, all rows of a pass at once and then
-    all columns.  What peeling leaves is the peeling core E' of the mask,
-    and a global solve in its cells finishes it off, on the free cells of
-    the core's rows or on the generator (see _solve_core); a core of more
-    than n^2 - k cells, which cannot be unique, is solved on its rows only
-    to tell an ambiguous core from inconsistent symbols.  The completed
-    grid, whether peeling filled it alone or the solve did, must pass
-    codec.in_code, which checks the lines that neither peeling nor the row
-    solve saw.  A word of the wrong length, a known symbol that is no
+    symbols is interpolated through r of them and predicted at the rest (see
+    _fill_lines), all rows of a pass at once and then all columns, unless
+    the rows left nothing erased.  What peeling leaves is the peeling core
+    E' of the mask, and a global solve in its cells finishes it off, on the
+    free cells of the core's rows or on the generator (see _solve_core); a
+    core of more than n^2 - k cells, which cannot be unique, is solved on
+    its rows only to tell an ambiguous core from inconsistent symbols.  The
+    completed grid, whether peeling filled it alone or the solve did, must
+    pass codec.in_code, which checks the lines that neither peeling nor the
+    row solve saw.  A word of the wrong length, a known symbol that is no
     element of the field (not an integer, or out of range), and known
-    symbols that fit no codeword raise ValueError; an ambiguous core
-    returns no word and E' as the residual."""
+    symbols that fit no codeword raise ValueError; an ambiguous core returns
+    no word and E' as the residual."""
     n = code.n_frak
     if mask.n_frak != n:
         raise ValueError("mask size does not match the code")
@@ -578,7 +594,8 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     progress = True
     while progress and erased.any():
         progress = _fill_lines(ctx, code.r, ld_rows, grid, erased)
-        progress |= _fill_lines(ctx, code.r, ld_cols, grid.T, erased.T)
+        if erased.any():
+            progress |= _fill_lines(ctx, code.r, ld_cols, grid.T, erased.T)
     used_global = bool(erased.any())
     status = "unique"
     if used_global:

@@ -257,30 +257,56 @@ def _anchor_bases(ctx: FieldCtx, ld: np.ndarray, anchors: np.ndarray) -> np.ndar
     anchors, because prod_{w != u} (x_j + w) / (u + w) has the logarithm
     s[j] - ld[u, j] in its numerator and s[u] in its denominator.  At u
     itself that is exp(0) = 1; at the other anchors the entries are not
-    meaningful, and callers that need their zeros set them."""
+    meaningful, and callers that need their zeros set them.  s is reduced
+    mod q - 1 on its (lines, n) array, so s[j] - ld[u, j] - s[u] + 2(q - 1)
+    lies in (0, 3(q - 1)) and indexes the exp table's three periods of
+    powers (see FieldCtx._tables) with no reduction of the big array."""
+    exp, _ = ctx._tables()
+    period = ctx.order - 1
     at_anchors = ld[anchors]
-    s = at_anchors.sum(axis=1)  # ld is symmetric with a zero diagonal
+    s = at_anchors.sum(axis=1) % period  # ld is symmetric with a zero diagonal
     s_anchors = s[np.arange(len(anchors))[:, None], anchors]
-    return ctx.exp_arr(s[:, None, :] - at_anchors - s_anchors[:, :, None])
+    return exp[(s + 2 * period)[:, None, :] - at_anchors - s_anchors[:, :, None]]
 
 
 def _line_predictions(
-    ctx: FieldCtx, ld: np.ndarray, lines: np.ndarray, anchors: np.ndarray
+    ctx: FieldCtx, ld: np.ndarray, values: np.ndarray, anchors: np.ndarray, others: np.ndarray
 ) -> np.ndarray:
-    """Values at all n points of the degree < r polynomial through the
-    cells ``anchors[l]`` (r distinct indices) of each line ``lines[l]``,
-    from the anchors' Lagrange basis (see _anchor_bases).  The predictions
-    at the anchors themselves are not meaningful; callers keep their
-    values."""
+    """Values at the points ``others[l]`` of the degree < r polynomial that
+    takes the values ``values[l]`` at the points ``anchors[l]``; each line's
+    r anchors and n - r others are its n points split in two.
+
+    Second barycentric form: with l(x) = prod_{u in U} (x + u) over the
+    anchors U, s_j = sum_{u in U} ld[u, j] = log l(x_j) and
+    s_u = sum_{w in U} ld[u, w], the prediction at x_j is
+    exp(s_j) * XOR_u exp(log c_u - ld[u, j]) with log c_u = log v_u - s_u.
+    One gather of ld[u, j] on (lines, r, n - r) gives both sums: s_j over
+    u, and s_u as the row sum of ld over all n points less the others'
+    terms (ld has a zero diagonal).  The sums are reduced mod q - 1 on
+    their small arrays and no modulo touches the big array: the exponent
+    log v_u - (s_u mod (q - 1)) + 2(q - 1) - ld[u, j] lies in (0, 3(q - 1)),
+    the exp table's three periods of powers (see FieldCtx._tables), for a
+    nonzero anchor value, and for a zero one, whose log is 3(q - 1), in
+    (3(q - 1), 5(q - 1)], the table's zero region; a zero sum over u
+    lands there too.  Lines are taken in blocks that bound the
+    (lines, r, n - r) arrays."""
+    exp, log = ctx._tables()
+    period = ctx.order - 1
+    n = len(ld)
     r = anchors.shape[1]
-    n = lines.shape[1]
-    out = np.empty(lines.shape, dtype=np.int64)
-    # blocks of lines bound the (lines, r, n) basis arrays
-    step = max(1, _BLOCK_ELEMS // (r * n))
-    for lo in range(0, len(lines), step):
+    flat = ld.reshape(-1)
+    totals = ld.sum(axis=1)
+    out = np.empty(others.shape, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMS // max(1, r * others.shape[1]))
+    for lo in range(0, len(values), step):
         blk = slice(lo, lo + step)
-        v = np.take_along_axis(lines[blk], anchors[blk], axis=1)
-        out[blk] = mat_mul(ctx, v[:, None, :], _anchor_bases(ctx, ld, anchors[blk]))[:, 0]
+        anc = anchors[blk]
+        d = flat[(anc * n)[:, :, None] + others[blk][:, None, :]]
+        # einsum sums these short axes about twice as fast as ndarray.sum
+        s_anchors = totals[anc] - np.einsum("luj->lu", d)
+        log_c = log[values[blk]] + 2 * period - s_anchors % period
+        acc = np.bitwise_xor.reduce(exp[log_c[:, :, None] - d], axis=1)
+        out[blk] = exp[log[acc] + np.einsum("luj->lj", d) % period]
     return out
 
 

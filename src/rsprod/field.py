@@ -27,6 +27,11 @@ MAX_EXTENSION_DEGREE = 20
 # cap on the elements of one broadcast temporary in mat_mul
 _BLOCK_ELEMS = 1 << 16
 
+# powers of the generator that the table build takes one scalar product at a
+# time before it doubles with array products: doubling pays only beyond
+# about this many, so a field of degree 10 or less builds as before
+_SCALAR_POWERS = 1 << 10
+
 
 def _gf2_deg(p: int) -> int:
     return p.bit_length() - 1
@@ -148,35 +153,81 @@ class FieldCtx:
         and log[0] = 3(q-1).  So exp[log[a] + log[b]] is the product a*b
         for every a, b, zero included.  The third period of powers lets
         _row_reduce shift a row's logarithms by up to q - 1 and still take
-        its products with a nonzero factor through one sum.  Built on first
-        use into locals and published by one assignment, so concurrent
-        first uses each store an equal pair."""
+        its products with a nonzero factor through one sum, and lets the
+        line-repair kernels of codec index exponents below 3(q-1) with no
+        modulo.  Built on first use into locals and published by one
+        assignment, so concurrent first uses each store an equal pair; the
+        generator is found by the order test and the powers are built by
+        doubling (see _build_tables)."""
         if self._exp_log is None:
             self._exp_log = self._build_tables()
         return self._exp_log
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of _tables: the powers g^0 .. g^(q-2) of the smallest
+        primitive element g (see _primitive_element), three times over,
+        then the zero region; log inverts the first period."""
         n = self.order - 1
-        powers = np.zeros(n, dtype=np.int64)
-        for g in range(1, self.order):
-            val = 1
-            length = 0
-            for i in range(n):
-                powers[i] = val
-                val = self.mul(val, g)
-                length = i + 1
-                if val == 1:
-                    break
-            if length == n and val == 1:
-                self.generator = g
-                break
-        else:  # pragma: no cover - multiplicative group is always cyclic
-            raise AssertionError("no generator found")
+        g = self.generator = self._primitive_element()
         exp = np.zeros(6 * n + 1, dtype=np.int64)
-        exp[: 3 * n] = np.tile(powers, 3)
+        powers = exp[:n]
+        # the first powers one scalar product at a time, then the table
+        # doubles: g^done times the powers so far gives the next ones
+        done = min(n, _SCALAR_POWERS)
+        val = 1
+        for i in range(done):
+            powers[i] = val
+            val = self.mul(val, g)
+        while done < n:
+            step = min(done, n - done)
+            powers[done : done + step] = self._mul_by(powers[:step], val)
+            val = self.mul(val, val)
+            done += step
+        exp[n : 2 * n] = powers
+        exp[2 * n : 3 * n] = powers
         log = np.full(self.order, 3 * n, dtype=np.int64)
         log[powers] = np.arange(n, dtype=np.int64)
         return exp, log
+
+    def _primitive_element(self) -> int:
+        """The smallest g whose powers run through all 2^M - 1 nonzero
+        elements: g^((2^M - 1)/p) != 1 for every prime p dividing 2^M - 1
+        (1 itself when M = 1, where that group is trivial)."""
+        n = self.order - 1
+        primes, rest, p = [], n, 3  # n is odd
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 2
+        if rest > 1:
+            primes.append(rest)
+        for g in range(1, self.order):
+            if all(self.pow(g, n // p) != 1 for p in primes):
+                return g
+        raise AssertionError("no generator found")  # pragma: no cover - the group is cyclic
+
+    def _mul_by(self, a: np.ndarray, c: int) -> np.ndarray:
+        """The products a * c of int64 field elements and one scalar, by
+        carry-less multiplication and reduction, without the tables: the
+        part from x^M up is folded back down through x^M = the reduction
+        polynomial's lower terms until the product has degree below M."""
+        m = self.extension_degree
+        low = self.reduction_poly ^ self.order
+        acc = np.zeros_like(a)
+        for bit in range(c.bit_length()):
+            if c >> bit & 1:
+                acc ^= a << bit
+        top = m + c.bit_length() - 2  # a bound on the degree of acc
+        while top >= m:
+            high = acc >> m
+            acc &= self.order - 1
+            for bit in range(low.bit_length()):
+                if low >> bit & 1:
+                    acc ^= high << bit
+            top += low.bit_length() - 1 - m
+        return acc
 
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product of int arrays (broadcasting)."""
@@ -209,12 +260,6 @@ class FieldCtx:
         if np.any(a == 0):
             raise ValueError("zero has no discrete logarithm")
         return log[a]
-
-    def exp_arr(self, e) -> np.ndarray:
-        """Elementwise generator^e for any integer exponents (negative ones
-        included)."""
-        exp, _ = self._tables()
-        return exp[np.asarray(e, dtype=np.int64) % (self.order - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,31 @@ def row_reduce(ctx: FieldCtx, mat: np.ndarray, full: bool) -> list[int]:
             mat[others, col:] ^= exp[log[mat[others, col]][:, None] + log[prow]]
         pivots.append(col)
     return pivots
+
+
+def build_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, int]:
+    """The table build that FieldCtx._build_tables replaced, unchanged:
+    every candidate g from 1 up is stepped through its powers by scalar
+    products until one runs through all 2^M - 1 nonzero elements.  Returns
+    (exp, log, generator) in the layout of FieldCtx._tables."""
+    n = ctx.order - 1
+    powers = np.zeros(n, dtype=np.int64)
+    for g in range(1, ctx.order):
+        val = 1
+        length = 0
+        for i in range(n):
+            powers[i] = val
+            val = ctx.mul(val, g)
+            length = i + 1
+            if val == 1:
+                break
+        if length == n and val == 1:
+            generator = g
+            break
+    else:  # pragma: no cover - multiplicative group is always cyclic
+        raise AssertionError("no generator found")
+    exp = np.zeros(6 * n + 1, dtype=np.int64)
+    exp[: 3 * n] = np.tile(powers, 3)
+    log = np.full(ctx.order, 3 * n, dtype=np.int64)
+    log[powers] = np.arange(n, dtype=np.int64)
+    return exp, log, generator

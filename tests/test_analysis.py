@@ -34,7 +34,15 @@ from rsprod.analysis import (
 from rsprod.bounds import exact_distance
 from rsprod.cli import main
 from rsprod.codec import _log_differences, build_code, encode, in_code
-from rsprod.field import FieldCtx, mat_nullspace, mat_rank, mat_solve, poly_eval_many
+from rsprod.field import (
+    FieldCtx,
+    mat_nullspace,
+    mat_rank,
+    mat_solve,
+    poly_eval_many,
+    poly_from_roots,
+    poly_mul,
+)
 from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
 from rsprod.verify import _check_peel_consistency
 
@@ -427,6 +435,29 @@ def test_erasure_recoverable_edges(pair_q4):
     assert not erasure_recoverable(code, almost_all)
 
 
+def test_erasure_mask_casts_an_int_grid_to_bool(pair_q4):
+    # kept as ints, the grid would index whole rows when the decoder clears
+    # the erased cells, and a valid codeword would be called inconsistent
+    code = build_code(pair_q4, 3, 7)
+    word = encode(code, [1, 2, 3, 4, 5, 6, 7])
+    grid = np.zeros((4, 4), dtype=np.int64)
+    grid[1, 2] = 1
+    mask = ErasureMask(4, grid)
+    assert mask.erased.dtype == bool and mask.count == 1
+    assert erasure_recoverable(code, mask)
+    res = peel_decode(code, word, mask)
+    assert res.ok and np.array_equal(res.word, word)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (4, 5), (16,), (1, 4, 4)], ids=["3x3", "4x5", "flat", "3-d"]
+)
+def test_erasure_mask_rejects_a_grid_of_the_wrong_shape(pair_q4, shape):
+    # a 3 x 3 grid for n = 4 used to get a verdict, True, as if it were a mask
+    with pytest.raises(ValueError, match=r"erasure grid must have shape \(4, 4\)"):
+        ErasureMask(4, np.zeros(shape, dtype=bool))
+
+
 def test_block_margin_mask_geometry():
     mask = block_margin_mask(4, 2, 1, 1)
     black = (1 + 2) * (1 + 2)
@@ -634,8 +665,8 @@ def reference_peel(code, word, mask):
     return ("peeled", grid, erased)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(e=st.integers(1, 4), data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(e=st.integers(1, 5), data=st.data())
 def test_fill_lines_matches_per_line_interpolation(e, data):
     pair = instantiate_standard(e)
     ctx, n = pair.ctx, pair.n_frak
@@ -645,16 +676,32 @@ def test_fill_lines_matches_per_line_interpolation(e, data):
     pts = np.array(points, dtype=np.int64)
     n_lines = 6
     # each line lies on a random polynomial of degree < r; its survivors
-    # number exactly r, all n, or anything, and a few lines get a wrong cell
-    lines = np.array(
-        [poly_eval_many(ctx, rng.integers(0, ctx.order, size=r), pts) for _ in range(n_lines)]
-    )
+    # number exactly r, all n, or anything, and a few lines get a wrong cell.
+    # Some lines are zero at all of their anchors, their first r survivors,
+    # or at some of them, which a random line over a large field never is.
+    lines = np.zeros((n_lines, n), dtype=np.int64)
     erased = np.zeros((n_lines, n), dtype=bool)
     for i in range(n_lines):
         keep = data.draw(st.sampled_from([r, n]) | st.integers(0, n), label="survivors")
         erased[i, rng.choice(n, size=n - keep, replace=False)] = True
-    if data.draw(st.booleans(), label="corrupt"):
-        i, j = int(rng.integers(n_lines)), int(rng.integers(n))
+        coeffs = rng.integers(0, ctx.order, size=r)
+        anchors = np.flatnonzero(~erased[i])[:r]
+        zeros = data.draw(st.sampled_from(["none", "all", "some"]), label="zero anchors")
+        if zeros == "all":
+            coeffs[:] = 0
+        elif zeros == "some" and 0 < len(anchors) and r > 1:
+            size = int(rng.integers(1, min(r - 1, len(anchors)) + 1))
+            roots = rng.choice(anchors, size=size, replace=False)
+            coeffs = poly_mul(ctx, poly_from_roots(ctx, pts[roots]), coeffs[len(roots) :])
+        lines[i] = poly_eval_many(ctx, coeffs, pts)
+    # a wrong symbol anywhere, or where the repair checks it: a known cell
+    # past the first r survivors of a line with an erasure
+    corrupt = data.draw(st.sampled_from(["none", "any cell", "checked cell"]), label="corrupt")
+    known = ~erased
+    checked = known & (np.cumsum(known, axis=1) > r) & erased.any(axis=1, keepdims=True)
+    cells = checked if corrupt == "checked cell" else np.full_like(known, corrupt == "any cell")
+    if cells.any():
+        i, j = np.argwhere(cells)[rng.integers(cells.sum())]
         lines[i, j] ^= int(rng.integers(1, ctx.order))
     lines[erased] = 0
     want = reference_fill(ctx, r, pts, lines, erased)
@@ -675,39 +722,55 @@ def general_code(r, k):
     return build_code(general_pair(1), r, k)
 
 
-@pytest.mark.parametrize("e,r,k", [(2, 2, 3), (3, 3, 4), (3, 5, 20), ("general", 3, 5)])
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_peel_raises_exactly_on_a_repairable_mismatch(e, r, k, data):
+@pytest.mark.parametrize(
+    "e,r,k,rates,examples",
+    [
+        pytest.param(2, 2, 3, [0.1, 0.3, 0.5, 0.7], 40, id="2-2-3"),
+        pytest.param(3, 3, 4, [0.1, 0.3, 0.5, 0.7], 40, id="3-3-4"),
+        pytest.param(3, 5, 20, [0.1, 0.3, 0.5, 0.7], 40, id="3-5-20"),
+        pytest.param("general", 3, 5, [0.1, 0.3, 0.5, 0.7], 40, id="general-3-5"),
+        # the benchmark's sparse code, where every repairable line has
+        # n - r = 16 cells to predict; its reference peel is slow
+        pytest.param(5, 16, 240, [0.1, 0.15], 6, id="5-16-240"),
+    ],
+)
+def test_peel_raises_exactly_on_a_repairable_mismatch(e, r, k, rates, examples):
     code = general_code(r, k) if e == "general" else cached_code(e, r, k)
     n, ctx = code.n_frak, code.ctx
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    word = encode(code, rng.integers(0, ctx.order, size=k))
-    cells = rng.choice(code.length, size=data.draw(st.integers(0, 3), label="bad"), replace=False)
-    word[cells] ^= rng.integers(1, ctx.order, size=len(cells))
-    p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]), label="p")
-    mask = ErasureMask.from_flat(n, rng.random(code.length) < p)
-    want = reference_peel(code, word, mask)
-    if want[0] == "mismatch":
-        with pytest.raises(ValueError, match="interpolation mismatch on a known symbol"):
-            peel_decode(code, word, mask)
-        return
-    _, grid, erased = want
-    try:
-        res = peel_decode(code, word, mask)
-    except ValueError as exc:
-        # past the line checks only the global solve, or the membership
-        # check of a fully peeled grid, finds the survivors inconsistent
-        assert "not consistent with any codeword" in str(exc)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        word = encode(code, rng.integers(0, ctx.order, size=k))
+        bad = data.draw(st.integers(0, 3), label="bad")
+        cells = rng.choice(code.length, size=bad, replace=False)
+        word[cells] ^= rng.integers(1, ctx.order, size=len(cells))
+        p = data.draw(st.sampled_from(rates), label="p")
+        mask = ErasureMask.from_flat(n, rng.random(code.length) < p)
+        want = reference_peel(code, word, mask)
+        if want[0] == "mismatch":
+            with pytest.raises(ValueError, match="interpolation mismatch on a known symbol"):
+                peel_decode(code, word, mask)
+            return
+        _, grid, erased = want
+        try:
+            res = peel_decode(code, word, mask)
+        except ValueError as exc:
+            # past the line checks only the global solve, or the membership
+            # check of a fully peeled grid, finds the survivors inconsistent
+            assert "not consistent with any codeword" in str(exc)
+            if not erased.any():
+                assert mat_solve(ctx, code.G.T, grid.reshape(-1))[0] == "inconsistent"
+            return
+        assert res.used_global == bool(erased.any())
         if not erased.any():
-            assert mat_solve(ctx, code.G.T, grid.reshape(-1))[0] == "inconsistent"
-        return
-    assert res.used_global == bool(erased.any())
-    if not erased.any():
-        assert np.array_equal(res.word, grid.reshape(-1))
-        assert mat_solve(ctx, code.G.T, res.word)[0] == "unique"
-    elif res.residual is not None:
-        assert np.array_equal(res.residual.erased, erased)
+            assert np.array_equal(res.word, grid.reshape(-1))
+            assert mat_solve(ctx, code.G.T, res.word)[0] == "unique"
+        elif res.residual is not None:
+            assert np.array_equal(res.residual.erased, erased)
+
+    check()
 
 
 def test_peel_mismatch_first_seen_in_column_pass(pair_q4):

@@ -295,13 +295,14 @@ def test_line_predictions_match_interpolation(e, data):
     anchors = np.sort(
         np.array([rng.choice(n, size=r, replace=False) for _ in range(n_lines)]), axis=1
     )
-    pred = _line_predictions(ctx, _log_differences(ctx, points), lines, anchors)
+    others = np.array([np.setdiff1d(np.arange(n), anc) for anc in anchors]).reshape(n_lines, n - r)
+    values = np.take_along_axis(lines, anchors, axis=1)
+    pred = _line_predictions(ctx, _log_differences(ctx, points), values, anchors, others)
+    assert pred.shape == (n_lines, n - r)
     pts = np.array(points, dtype=np.int64)
-    for line, anc, got in zip(lines, anchors, pred):
+    for line, anc, rest, got in zip(lines, anchors, others, pred):
         coeffs = interpolate(ctx, [int(pts[i]) for i in anc], line[anc])
-        want = poly_eval_many(ctx, coeffs, pts)
-        rest = np.setdiff1d(np.arange(n), anc)
-        assert np.array_equal(got[rest], want[rest])
+        assert np.array_equal(got, poly_eval_many(ctx, coeffs, pts[rest]))
 
 
 def reference_membership(pair, r, grid):

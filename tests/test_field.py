@@ -29,7 +29,7 @@ from rsprod.field import (
     poly_mul,
 )
 
-from reference import poly_deriv, poly_eval, row_reduce
+from reference import build_tables, poly_deriv, poly_eval, row_reduce
 
 
 def gf2_mul(a, b):
@@ -180,19 +180,42 @@ def test_log_exp_arr_match_scalar_pow(m):
     a = rng.integers(1, ctx.order, size=300)
     a[:2] = [1, ctx.order - 1]
     logs = ctx.log_arr(a)
-    gen = int(ctx.exp_arr(1))
+    exp, _ = ctx._tables()
+    gen = int(exp[1])
     assert gen == ctx.generator
     for x, lg in zip(a, logs):
         assert 0 <= lg < ctx.order - 1
         assert ctx.pow(gen, int(lg)) == int(x)
-    # any integer exponent, negative ones included, is taken mod 2^M - 1
-    e = rng.integers(-3 * ctx.order, 3 * ctx.order, size=300)
-    got = ctx.exp_arr(e)
-    for ei, gi in zip(e, got):
+    # the table holds three periods of powers, which the line-repair
+    # kernels index with exponents in [0, 3(2^M - 1)) and no modulo
+    e = rng.integers(0, 3 * (ctx.order - 1), size=300)
+    for ei, gi in zip(e, exp[e]):
         assert int(gi) == ctx.pow(gen, int(ei) % (ctx.order - 1))
-    assert np.array_equal(ctx.exp_arr(logs), a)
+    assert np.array_equal(exp[logs], a)
     with pytest.raises(ValueError):
         ctx.log_arr([1, 0])
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_tables_match_the_reference_loop(m):
+    # the order test picks the loop's generator, and the doubling build
+    # gives its tables bit for bit, past the scalar block from m = 11 on
+    ctx = FieldCtx(m)
+    exp, log = ctx._tables()
+    want_exp, want_log, want_generator = build_tables(FieldCtx(m))
+    assert ctx.generator == want_generator
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
+
+
+def test_tables_at_the_largest_degree():
+    # the reference loop takes about a second here; exp . log must be the
+    # identity on the nonzero elements, and the generator is 2
+    ctx = cached_ctx(field.MAX_EXTENSION_DEGREE)
+    exp, log = ctx._tables()
+    nonzero = np.arange(1, ctx.order)
+    assert ctx.generator == 2
+    assert np.array_equal(exp[log[nonzero]], nonzero)
+    assert log[0] == 3 * (ctx.order - 1) and not exp[3 * (ctx.order - 1) :].any()
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 10])
