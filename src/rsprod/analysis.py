@@ -435,9 +435,9 @@ def _solve_rows(
     basis polynomial of anchor a on the row, and the unknowns are the
     N = sum_i d_i free v_a.  A grid that is zero off the core is then a
     codeword of C_k iff every column the core touches passes the n - r
-    column checks, where anchor a enters check (t, j) as
-    checks[t, i_a] L_a[j], and the corner passes Phi_C (see
-    CodeInstance.corner_maps).  With known values, the checks of the grid
+    column checks [P | I], where anchor a enters check (t, j) as
+    [P | I][t, i_a] L_a[j], and the corner passes Phi_C (see
+    CodeInstance.checks).  With known values, the checks of the grid
     whose core rows run through their known anchors alone give the
     right-hand side; the rows and columns outside the core are not checked
     here."""
@@ -454,9 +454,9 @@ def _solve_rows(
     basis = bases.reshape(-1, n)[free]
     at_rows = np.repeat(rows, r)[free]
     in_corner = int(np.searchsorted(at_rows, r))
-    checks = code._column_checks
+    checks = np.hstack([code.checks[0], np.eye(n - r, dtype=np.int64)])
     cols = np.flatnonzero(core.any(axis=0))
-    phi = code.corner_maps[2].reshape(-1, r, r)
+    phi = code.checks[2].reshape(-1, r, r)
     on_cols = ctx.mul_arr(checks[:, at_rows][:, None, :], basis[:, cols].T[None])
     on_corner = np.zeros((len(phi), len(basis)), dtype=np.int64)
     on_corner[:, :in_corner] = np.bitwise_xor.reduce(

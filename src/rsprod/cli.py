@@ -264,8 +264,8 @@ def _q_log(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """--threads and --trials, checked at parsing: a count of at least 1
-    (the worker count is further capped at the CPU count)."""
+    """--threads, --trials and --budget, checked at parsing: a count of at
+    least 1 (the worker count is further capped at the CPU count)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("distance", help="exhaustive or sampled minimum distance")
     _add_field_flags(sp)
-    sp.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_positive, default=analysis.DEFAULT_BUDGET)
     sp.add_argument("--trials", type=_positive, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)

@@ -32,8 +32,8 @@ class CodeInstance:
     S[l] is the r x r coefficient matrix of basis polynomial l in the
     products g^a f^b (see build_code).  Everything else is derived from S
     and the pair on first use and kept: the k x n^2 generator G, the
-    parity checks H and Phi, the corner maps of in_code, the grid columns'
-    checks and the log-difference tables of line repair."""
+    checks (P, Q, Phi_C) that in_code, the row-side erasure solve and the
+    parity checks H read, and the log-difference tables of line repair."""
 
     pair: LinearizedPair
     r: int
@@ -57,39 +57,42 @@ class CodeInstance:
     def G(self) -> np.ndarray:
         """Generator, k x n^2: G[l] is the grid A^T . S_l . B of basis
         polynomial l (see build_code) flattened in the i*n + j order.
-        Built on first use and kept: export, enumeration, sampling, H, the
+        Built on first use and kept: export, enumeration, sampling, the
         message-side solve of a large erasure core and the rank reference
-        read it, while encoding and the row-side erasure solve do not."""
+        read it, while encoding, H and the row-side erasure solve do not."""
         return _grid_values(self, self.S).reshape(self.k, self.length)
 
     @functools.cached_property
     def H(self) -> np.ndarray:
-        """Parity-check matrix, (n^2 - k) x n^2: its rows span the dual code,
-        so a word is a codeword iff H @ word = 0.  Built on first use and
-        kept; spectrum_via_dual is its only reader, and no erasure verdict
-        or decode builds it."""
-        return mat_nullspace(self.ctx, self.G)
+        """Parity-check matrix, (n^2 - k) x n^2, from checks and without G:
+        [P | I] on each grid column, [Q[:, r:]^T | I] on grid rows 0..r-1
+        and Phi_C on the corner cells.  The rows are independent, as no check
+        of the MDS column code lies on r rows and the corner is an
+        information set, so they span the dual code.  Built on first use and
+        kept; spectrum_via_dual is its only reader."""
+        n, r = self.n_frak, self.r
+        p, q, phi_c = self.checks
+        eye = np.eye(n, dtype=np.int64)
+        corner = np.pad(phi_c.reshape(-1, r, r), ((0, 0), (0, n - r), (0, n - r)))
+        columns = np.kron(np.hstack([p, eye[r:, r:]]), eye)
+        rows = np.kron(eye[:r], np.hstack([q[:, r:].T, eye[r:, r:]]))
+        return np.concatenate([columns, rows, corner.reshape(-1, n * n)])
 
     @functools.cached_property
-    def Phi(self) -> np.ndarray:
-        """Checks on message matrices, (r^2 - k) x r^2: an r x r matrix M
-        lies in the span of the S_l iff Phi @ vec(M) = 0.  Built on first
-        use and kept."""
-        r = self.r
-        return mat_nullspace(self.ctx, self.S.reshape(self.k, r * r))
+    def checks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P, Q, Phi_C): the checks of C_k that in_code, the row-side
+        erasure solve and H read.  Built on first use and kept.
 
-    @functools.cached_property
-    def corner_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P, Q, Phi_C), which decide membership in C_k from the r x r
-        corner C = grid[:r, :r] (see in_code).  Built on first use and kept.
-
-        A grid A^T . M . B (see build_code) has C = A_r^T . M . B_r, where
-        the first r columns A_r, B_r of A and B are invertible Vandermonde
-        matrices, so M = A_r^-T . C . B_r^-1 and the grid is
-        (A^T . A_r^-T) . C . Q with Q = B_r^-1 . B.  The first r rows of
-        A^T . A_r^-T are the identity and P is the other n - r.  Phi_C
-        carries the checks Phi over to the corner: row l is
-        vec(A_r^-1 . Phi_l . B_r^-T), so Phi_C . vec(C) = Phi . vec(M)."""
+        A grid A^T . M . B (see build_code) has the corner
+        C = A_r^T . M . B_r, with A_r, B_r the first r columns of A and B,
+        invertible Vandermonde matrices; so the grid is
+        (A^T . A_r^-T) . C . Q with Q = B_r^-1 . B, and P is the last n - r
+        rows of A^T . A_r^-T, whose first r are the identity.  A grid column
+        is in the column code iff it passes [P | I], and a row is in the row
+        code iff it passes [Q[:, r:]^T | I].  Phi_C carries Phi, the null
+        space of the S_l, over to the corner: row l is
+        vec(A_r^-1 . Phi_l . B_r^-T), so Phi_C . vec(C) = Phi . vec(M), zero
+        iff M lies in the span of the S_l."""
         ctx, r = self.ctx, self.r
         at, b = self._powers
         eye = np.eye(r, dtype=np.int64)
@@ -99,17 +102,9 @@ class CodeInstance:
         )
         p = mat_mul(ctx, at[r:], a_inv.T)
         q = mat_mul(ctx, b_inv, b)
-        phi = self.Phi.reshape(-1, r, r)
+        phi = mat_nullspace(ctx, self.S.reshape(self.k, r * r)).reshape(-1, r, r)
         phi_c = mat_mul(ctx, a_inv, mat_mul(ctx, phi, b_inv.T)).reshape(-1, r * r)
         return p, q, phi_c
-
-    @functools.cached_property
-    def _column_checks(self) -> np.ndarray:
-        """(n - r) x n checks of a grid column: a column is the evaluation
-        on Zf of a polynomial of degree < r, a row of A (see build_code),
-        iff these checks send it to zero.  Built on first use and kept."""
-        at, _ = self._powers
-        return mat_nullspace(self.ctx, at.T)
 
     @functools.cached_property
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,13 +161,15 @@ def _message_matrix(code: CodeInstance, msg: np.ndarray) -> np.ndarray:
 def in_code(code: CodeInstance, grid: np.ndarray) -> bool:
     """Whether a full n x n grid is a codeword of C_k, in O(r n^2) field
     products and without H.  The r x r corner C fixes the only candidate
-    message matrix M (see CodeInstance.corner_maps): the grid must be in
-    the product code, A^T . M . B, so its first r rows are C . Q and the
-    others P . C . Q, and then it is in C_k iff M lies in the span of the
-    S_l, Phi_C . vec(C) = 0.  At k = r^2 this is membership in the product
-    code, every grid row and column a Reed-Solomon word of dimension r."""
+    message matrix M (see CodeInstance.checks): the grid must be in the
+    product code, A^T . M . B, so its first r rows are C . Q, which is the
+    row checks [Q[:, r:]^T | I] on them, and its other rows P . C . Q, the
+    column checks [P | I] on every column; and then it is in C_k iff M
+    lies in the span of the S_l, Phi_C . vec(C) = 0.  At k = r^2 this is
+    membership in the product code, every grid row and column a
+    Reed-Solomon word of dimension r."""
     ctx, r = code.ctx, code.r
-    p, q, phi_c = code.corner_maps
+    p, q, phi_c = code.checks
     top = mat_mul(ctx, grid[:r, :r], q)
     if not (np.array_equal(top, grid[:r]) and np.array_equal(mat_mul(ctx, p, top), grid[r:])):
         return False

@@ -18,6 +18,8 @@ from .linearized import LinearizedPair
 # cap on the cells of the echelon matrix, r^2 rows of 2(r-1)n + 1 + r^2
 # int32 entries (64 MiB); callers fall back to the formula beyond
 REF_MAX_CELLS = 1 << 24
+# cap on the r^2 degrees of a profile, held as Python ints (r <= 2048)
+PROFILE_MAX_DEGREES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,13 @@ class DegreeProfile:
 
 def degree_profile(n_frak: int, r: int) -> DegreeProfile:
     """Degrees, breakpoints and intervals for local length n and local
-    dimension r, 1 <= r <= n."""
+    dimension r, 1 <= r <= n and r^2 <= PROFILE_MAX_DEGREES."""
+    if n_frak < 1:
+        raise ValueError(f"need n >= 1, got n={n_frak}")
     if not 1 <= r <= n_frak:
         raise ValueError(f"need 1 <= r <= {n_frak}, got r={r}")
+    if r * r > PROFILE_MAX_DEGREES:
+        raise ValueError(f"degree profiles need r^2 <= {PROFILE_MAX_DEGREES}, got r={r}")
     intervals = []
     for t in range(2 * r - 1):
         top = r - 1 - (t + 1) // 2

@@ -244,14 +244,6 @@ class FieldCtx:
         out = exp[log[a] * e % (self.order - 1)]
         return np.where(a == 0, e == 0, out)
 
-    def inv_arr(self, a) -> np.ndarray:
-        exp, log = self._tables()
-        a = np.asarray(a, dtype=np.int64)
-        if not a.all():
-            raise ValueError("zero has no multiplicative inverse")
-        n = self.order - 1
-        return exp[n - log[a]]
-
     def log_arr(self, a) -> np.ndarray:
         """Elementwise discrete logarithm to the base ``generator``, in
         [0, 2^M - 1), of nonzero elements."""

@@ -2,7 +2,8 @@
 evaluation, formal derivatives, Lagrange interpolation, the Horner-built
 generator and the univariate double-root check for the tensor-form code, the
 full 2-D scan for the grid bound, the enumeration of a whole span for the
-one-slice spectra, and the parity-check solve of an erasure core.
+one-slice spectra, and the parity checks by elimination of the generator
+with the parity-check solve of an erasure core.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -15,12 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from rsprod.codec import encode
+from rsprod.codec import build_code, encode
 from rsprod.degrees import ref_basis
 from rsprod.field import (
     ZERO_POLY,
     FieldCtx,
     mat_mul,
+    mat_nullspace,
     mat_solve,
     poly_add,
     poly_divmod,
@@ -155,15 +157,27 @@ def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
     return {w: int(c) for w, c in enumerate(counts) if c}
 
 
+def reference_H(code) -> np.ndarray:
+    """Parity checks as the null space of the generator, by elimination of
+    G: the oracle for the closed-form CodeInstance.H.  Kept per code
+    parameters, since at n = 32 the elimination takes about a second."""
+    return _generator_nullspace(code.pair, code.r, code.k)
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_nullspace(pair, r: int, k: int) -> np.ndarray:
+    return mat_nullspace(pair.ctx, build_code(pair, r, k).G)
+
+
 def parity_check_solve(code, core, values=None):
     """The cells of a bool erasure core from the cells outside it, through
-    the dense parity checks: ``H[:, core] x = H[:, ~core] y``, with y zero
-    when ``values`` is None.  Returns mat_solve's status and, when it is
-    "unique" and values were given, the completed flat word."""
+    the dense parity checks of reference_H: ``H[:, core] x = H[:, ~core] y``,
+    with y zero when ``values`` is None.  Returns mat_solve's status and,
+    when it is "unique" and values were given, the completed flat word."""
     ctx, core = code.ctx, core.reshape(-1)
     known = ~core
     y = np.zeros(int(known.sum()), dtype=np.int64) if values is None else values[known]
-    h = code.H
+    h = reference_H(code)
     status, x = mat_solve(ctx, h[:, core], mat_mul(ctx, h[:, known], y[:, None])[:, 0])
     if status != "unique" or values is None:
         return status, None

@@ -301,6 +301,29 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_profile_out_of_envelope_exits_2(capsys, monkeypatch):
+    # n < 1 is named as such, and r past the cap on r^2 is refused before
+    # any of its degrees exist: a range in the degrees module would trip
+    from rsprod import degrees
+
+    code, out, err = run_cli(capsys, "profile", "--n", "-1", "--r", "1")
+    assert code == 2 and out == "" and err == "error: need n >= 1, got n=-1\n"
+
+    def fail(*args):
+        raise AssertionError("the degree set must not be built")
+
+    monkeypatch.setattr(degrees, "range", fail, raising=False)
+    code, out, err = run_cli(capsys, "bounds", "--n", "100000", "--r", "50000", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: degree profiles need r^2 <= {2**22}, got r=50000\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(degrees, "PROFILE_MAX_DEGREES", 8)
+    with pytest.raises(ValueError, match=r"need r\^2 <= 8, got r=3"):
+        degree_profile(4, 3)
+    monkeypatch.setattr(degrees, "PROFILE_MAX_DEGREES", 9)
+    assert len(degree_profile(4, 3).D) == 9
+
+
 @pytest.mark.parametrize("q_log", ["0", "11", "12"])
 def test_q_log_out_of_envelope_rejected_at_parsing(capsys, monkeypatch, q_log):
     # GF(2^(2e)) beyond the largest extension degree fails before any field
@@ -340,6 +363,7 @@ FIELD_FLAGS = ("--q-log", "2", "--r", "2", "--k", "3")
         ("erasure-sim", *FIELD_FLAGS, "--model", "uniform-p", "--p", "0.3", "--trials", "0"),
         ("erasure-sim", *FIELD_FLAGS, "--model", "fig1", "--a", "1", "--b", "1", "--trials", "-1"),
         ("verify", "--threads", "0"),
+        ("distance", *FIELD_FLAGS, "--budget", "-1"),
     ],
 )
 def test_counts_below_one_rejected_at_parsing(capsys, argv):

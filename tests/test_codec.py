@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsprod.analysis import (
@@ -27,11 +27,18 @@ from rsprod.codec import (
     in_code,
 )
 from rsprod.degrees import ref_basis
-from rsprod.field import mat_rank, mat_solve, poly_compose, poly_eval_many
+from rsprod.field import (
+    mat_mul,
+    mat_nullspace,
+    mat_rank,
+    mat_solve,
+    poly_compose,
+    poly_eval_many,
+)
 from rsprod.linearized import instantiate_standard
 from rsprod.verify import _check_diagram
 
-from reference import horner_generator, interpolate, univariate_double_root_check
+from reference import horner_generator, interpolate, reference_H, univariate_double_root_check
 from strategies import draw_code, pairs, standard_codes
 
 
@@ -74,9 +81,32 @@ def test_k1_generator_is_constant_row(pair_q4):
 
 def test_r3_k8_heavy_parity(pair_q4):
     code = build_code(pair_q4, 3, 8)
-    assert code.Phi.shape == (1, 9)  # one heavy parity: one check on messages
+    assert code.checks[2].shape == (1, 9)  # one heavy parity: one corner check Phi_C
     assert code.S.shape == (8, 3, 3)
     assert len(ref_basis(pair_q4, 3)[code.k - 1]) - 1 == 12  # (2r - 3) * n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(code=standard_codes((1, 4)))
+@example(code=build_code(instantiate_standard(2), 4, 16))  # r = n, k = r^2
+@example(code=build_code(instantiate_standard(3), 8, 1))  # r = n, k = 1
+@example(code=build_code(instantiate_standard(4), 12, 144))  # k = r^2
+@example(code=build_code(instantiate_standard(4), 12, 1))  # k = 1
+def test_closed_form_h_spans_the_dual(code):
+    # the checks of C_k in closed form against the null space of G, with the
+    # column and row blocks bit for bit the null spaces of A and B
+    ctx, n, r, k = code.ctx, code.n_frak, code.r, code.k
+    h = code.H
+    assert "G" not in vars(code)
+    assert h.shape == (n * n - k, n * n)
+    at, b = code._powers
+    eye = np.eye(n, dtype=np.int64)
+    assert np.array_equal(h[: n * (n - r)], np.kron(mat_nullspace(ctx, at.T), eye))
+    rows = np.kron(eye[:r], mat_nullspace(ctx, b))
+    assert np.array_equal(h[n * (n - r) : n * (n - r) + r * (n - r)], rows)
+    assert not mat_mul(ctx, h, code.G.T).any()
+    assert mat_rank(ctx, h) == n * n - k
+    assert mat_rank(ctx, np.concatenate([h, reference_H(code)])) == n * n - k
 
 
 def test_build_code_rejects_bad_params(pair_q4):
