@@ -3,13 +3,14 @@ on the peeling core, the peeling erasure decoder, and the double-root
 structural check.
 
 Exhaustive enumeration runs the last row's coefficient over a set of
-values (all of F, or one worker's share) and walks the digits below it in
-mixed-radix reflected Gray order, so each step XORs a single scalar
-multiple of one generator row into the running partial codeword; the
-lowest digits are expanded once into a vectorized span block.  Every
-codeword is packed into m-bit lanes of as many uint64 words as it needs;
-a fixed four-operation SWAR test (Warren, Hacker's Delight, ch. 6) sets
-the top bit of each nonzero lane, and weights come from a popcount.
+values (all of F, or one worker's share) and every other coefficient over
+F.  The lowest digits are expanded once into a vectorized span block; each
+combination of the digits above it, a plain Cartesian product, XORs its
+scalar multiples of the generator rows into one partial codeword that is
+added to the whole block at once.  Every codeword is packed into m-bit
+lanes of as many uint64 words as it needs; a fixed four-operation SWAR
+test (Warren, Hacker's Delight, ch. 6) sets the top bit of each nonzero
+lane, and weights come from a popcount.
 
 Every code here is invariant under the translations of its evaluation
 points, a group transitive on the coordinates, so a spectrum needs only the
@@ -19,12 +20,13 @@ points, a group transitive on the coordinates, so a spectrum needs only the
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,26 +100,6 @@ class ErasureMask:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
-
-
-def _gray_transitions(radix: int, ndigits: int) -> Iterator[tuple[int, int, int]]:
-    """(digit, old value, new value) steps of the reflected mixed-radix
-    Gray walk over radix^ndigits tuples, one digit changing by +-1."""
-    digits = [0] * ndigits
-    dirs = [1] * ndigits
-    while True:
-        i = 0
-        while i < ndigits:
-            nxt = digits[i] + dirs[i]
-            if 0 <= nxt < radix:
-                break
-            dirs[i] = -dirs[i]
-            i += 1
-        if i == ndigits:
-            return
-        old = digits[i]
-        digits[i] = old + dirs[i]
-        yield i, old, digits[i]
 
 
 def _pack_rows(ctx: FieldCtx, length: int) -> dict:
@@ -204,16 +186,11 @@ def _spectrum_over(
             np.sum(lane_counts, axis=0, dtype=weights.dtype, out=weights)
         counts[:] += np.bincount(weights, minlength=length + 1)
 
-    if n_block < len(tables):
-        starts = tables[-1]
-    else:
-        starts = np.zeros((1, words), dtype=np.uint64)
-    gray_tables = tables[n_block:-1]
-    for partial in starts:
-        flush(partial)
-        for digit, old, new in _gray_transitions(q, len(gray_tables)):
-            partial ^= gray_tables[digit][old ^ new]
-            flush(partial)
+    # one flush per combination of the digits above the block; when the
+    # block holds every digit the product is the single empty combination
+    zero = np.zeros(words, dtype=np.uint64)
+    for combo in itertools.product(*tables[n_block:]):
+        flush(functools.reduce(np.bitwise_xor, combo, zero))
     return counts
 
 

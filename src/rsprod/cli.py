@@ -46,8 +46,12 @@ def _parse_k_range(text: str, r: int) -> list[int]:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # exit 1 is a verify failure, so an unwritable path is a usage error
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

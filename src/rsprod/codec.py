@@ -11,9 +11,7 @@ columns on Zf.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -318,9 +316,7 @@ def export_generator_csv(code: CodeInstance) -> str:
         "k": code.k,
         "coordinate_order": "Zf-major",
     }
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in code.G:
-        writer.writerow([format(int(x), "x") for x in row])
-    return buf.getvalue()
+    hexes = [format(x, "x") for x in range(code.ctx.order)]
+    lines = ["# " + json.dumps(header, sort_keys=True)]
+    lines += [",".join([hexes[x] for x in row]) for row in code.G.tolist()]
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ the field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,22 +101,23 @@ def root_space(p: LinearizedPoly) -> list[int]:
 
 @dataclass(frozen=True)
 class LinearizedPair:
-    """A separable pair f, g with f + g = x, plus the evaluation grid.
-
-    eval_points[i*n + j] = Zf[i] + Zg[j]; the index convention is the
-    inverse of the coordinate bijection between the grid and the flat
-    point set.
-    """
+    """A separable pair f, g with f + g = x and their root spaces."""
 
     f: LinearizedPoly
     g: LinearizedPoly
     Zf: tuple[int, ...]
     Zg: tuple[int, ...]
-    eval_points: tuple[int, ...]
 
     @property
     def ctx(self) -> FieldCtx:
         return self.f.ctx
+
+    @functools.cached_property
+    def eval_points(self) -> tuple[int, ...]:
+        """eval_points[i*n + j] = Zf[i] + Zg[j]; the index convention is
+        the inverse of the coordinate bijection between the grid and the
+        flat point set."""
+        return tuple(b ^ c for b in self.Zf for c in self.Zg)
 
     @property
     def n_frak(self) -> int:
@@ -123,8 +125,9 @@ class LinearizedPair:
 
 
 def build_pair(f: LinearizedPoly) -> LinearizedPair:
-    """General-purpose constructor: g = x - f, both root spaces, and the
-    grid of pairwise sums."""
+    """General-purpose constructor: g = x - f and both root spaces.  The
+    sums Zf + Zg are direct: an alpha in both would give alpha = f(alpha)
+    + g(alpha) = 0."""
     if f.coeffs[0] in (0, 1):
         raise ValueError(
             "a_0 must avoid 0 and 1 so that both f and g are separable"
@@ -134,12 +137,7 @@ def build_pair(f: LinearizedPoly) -> LinearizedPair:
     if f.ctx.extension_degree % f.q_log != 0:
         raise ValueError("context must contain the subfield of order q")
     g = LinearizedPoly(f.ctx, f.q_log, (f.coeffs[0] ^ 1,) + f.coeffs[1:])
-    zf = root_space(f)
-    zg = root_space(g)
-    pts = tuple(b ^ c for b in zf for c in zg)
-    if len(set(pts)) != len(pts):  # pragma: no cover - sums are always direct
-        raise ValueError("root spaces intersect beyond 0")
-    return LinearizedPair(f, g, tuple(zf), tuple(zg), pts)
+    return LinearizedPair(f, g, tuple(root_space(f)), tuple(root_space(g)))
 
 
 def subfield(ctx: FieldCtx, q_log: int) -> list[int]:

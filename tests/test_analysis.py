@@ -15,7 +15,6 @@ from rsprod.analysis import (
     BudgetExceeded,
     ErasureMask,
     _fill_lines,
-    _gray_transitions,
     _pack_rows,
     _peel_core,
     _rank_recoverable,
@@ -73,17 +72,6 @@ def brute_spectrum(code):
         w = sum(1 for x in word if x)
         counts[w] = counts.get(w, 0) + 1
     return counts
-
-
-def test_gray_walk_visits_every_tuple_once():
-    seen = set()
-    digits = [0, 0, 0]
-    seen.add(tuple(digits))
-    for d, old, new in _gray_transitions(3, 3):
-        assert digits[d] == old and abs(new - old) == 1
-        digits[d] = new
-        seen.add(tuple(digits))
-    assert len(seen) == 27
 
 
 def test_exhaustive_matches_exact_distances_q4_r2(pair_q4):
@@ -203,14 +191,14 @@ def test_lane_test_edge_words(m):
 
 @pytest.mark.parametrize(
     "m,length,nrows",
-    # one word (16 cells of 2 bits), four words (64 cells of 3 bits) with
-    # three and with two rows, and one row
-    [(2, 16, 3), (3, 64, 3), (3, 64, 2), (4, 16, 1)],
+    # one word (16 cells of 2 bits) with three and with four rows, four
+    # words (64 cells of 3 bits) with three and with two rows, and one row
+    [(2, 16, 3), (2, 16, 4), (3, 64, 3), (3, 64, 2), (4, 16, 1)],
 )
 def test_value_shares_sum_to_the_whole_span(m, length, nrows, monkeypatch):
     # every span here fits the block, top digit and all; with a limit of
-    # one word the block keeps only its lowest digit, and the others are
-    # walked
+    # one word the block keeps only its lowest digit, and the others, the
+    # shared top digit among them, are enumerated as a product
     ctx = FieldCtx(m)
     rng = np.random.default_rng(m)
     rows = rng.integers(0, ctx.order, size=(nrows, length))

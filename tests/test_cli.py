@@ -324,6 +324,20 @@ def test_profile_out_of_envelope_exits_2(capsys, monkeypatch):
     assert len(degree_profile(4, 3).D) == 9
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    # a directory and a path under a missing directory are usage errors,
+    # not tracebacks with the exit code of a verify failure
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (
+        ("profile", "--n", "3", "--r", "2", "--out", str(missing)),
+        ("bounds", "--n", "3", "--r", "2", "--k", "1", "--out", str(tmp_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {argv[-1]}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("q_log", ["0", "11", "12"])
 def test_q_log_out_of_envelope_rejected_at_parsing(capsys, monkeypatch, q_log):
     # GF(2^(2e)) beyond the largest extension degree fails before any field
