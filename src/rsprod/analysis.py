@@ -324,13 +324,13 @@ def spectrum_via_dual(
     dual code (see _slice_spectrum) and transforming; useful when the code
     itself is over budget.  The budget bounds the whole dual, |F|^(n^2-k)."""
     ctx = code.ctx
-    dual = code.H
-    size = ctx.order ** len(dual)
+    # H has n^2 - k rows; it is not built for a dual over budget
+    size = ctx.order ** (code.length - code.k)
     if size > budget:
         raise BudgetExceeded(
             f"dual enumeration needs {size} words, over budget {budget}"
         )
-    dual_counts = _slice_spectrum(ctx, dual, workers)
+    dual_counts = _slice_spectrum(ctx, code.H, workers)
     primal = macwilliams_transform(dual_counts, code.length, ctx.order)
     expected = ctx.order ** code.k
     if sum(primal.values()) != expected:  # pragma: no cover

@@ -132,6 +132,23 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _exact_spectrum(code, budget: int, workers: int):
+    """(method, spectrum) from enumerating the code when |F|^k is within
+    the budget, else from its dual when |F|^(n^2-k) is; None when neither
+    is."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, spectrum = analysis.exhaustive_distance(code, budget=budget, workers=workers)
+        return "exhaustive", spectrum
+    except analysis.BudgetExceeded:
+        pass
+    try:
+        return "exhaustive-dual", analysis.spectrum_via_dual(code, budget=budget, workers=workers)
+    except analysis.BudgetExceeded:
+        return None
+
+
 def cmd_distance(args: argparse.Namespace) -> int:
     code = _make_code(args)
     lower, _ = bounds.lower_opt(
@@ -144,15 +161,13 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "k": args.k,
         "lower_bound": lower,
     }
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            d, spectrum = analysis.exhaustive_distance(
-                code, budget=args.budget, workers=args.threads
-            )
+    found = _exact_spectrum(code, args.budget, args.threads)
+    if found is not None:
+        method, spectrum = found
+        d = spectrum.min_nonzero_weight()
         payload.update(
             {
-                "method": "exhaustive",
+                "method": method,
                 "distance": d,
                 "equals_lower_bound": d == lower,
                 "conclusive": True,
@@ -160,7 +175,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         )
         if args.spectrum:
             payload["spectrum"] = {str(w): c for w, c in sorted(spectrum.counts.items())}
-    except analysis.BudgetExceeded:
+    else:
         est = analysis.sampled_distance(code, args.trials, seed=args.seed)
         payload.update(
             {

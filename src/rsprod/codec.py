@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .degrees import DegreeProfile, _echelon, degree_profile
+from .degrees import DegreeProfile, _transform, degree_profile
 from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_nullspace, mat_rref
 from .linearized import LinearizedPair
 
@@ -185,20 +185,20 @@ def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
     row l is A^T . S_l . B with A[a, i] = Zf[i]^a and B[b, j] = Zg[j]^b, and
     its flattening in the i*n + j order is the generator row G[l], with no
     polynomial of degree up to 2(r-1)n formed.
+
+    S comes from degrees._transform: an r^2 x 2r^2 elimination of the
+    products' coefficients at the degree set D next to an identity block,
+    bit-identical to the transform of the univariate echelon and without
+    its products.  Pairs (n, r) past the echelon's cells, REF_MAX_CELLS,
+    are refused as they are there.
     """
     n = pair.n_frak
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got r={r}")
     if not 1 <= k <= r * r:
         raise ValueError(f"need 1 <= k <= r^2 = {r * r}, got k={k}")
-    profile = degree_profile(n, r)
-    rows = _echelon(pair, r)[:k]
-    maxdeg = rows.shape[1] - r * r - 1
-    # each row's leading coefficient is its first nonzero column
-    if not np.array_equal(maxdeg - np.argmax(rows != 0, axis=1), profile.D[:k]):
-        raise AssertionError("echelon degrees disagree with the profile")  # pragma: no cover
-    s = rows[:, maxdeg + 1 :].reshape(k, r, r).astype(np.int64)
-    return CodeInstance(pair, r, k, profile, s)
+    s = _transform(pair, r)[:k].astype(np.int64)
+    return CodeInstance(pair, r, k, degree_profile(n, r), s)
 
 
 def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Attainable polynomial degrees in the span of {g^i f^j : 0 <= i,j < r}.
 
-Two independent routes: a closed formula for the degree set, its sorted
-enumeration, and the breakpoint dimensions; and a symbolic row-echelon
-reduction of the expanded products, whose pivot degrees must coincide
-with the formula.  The codec uses the transform that the reduction carries.
+A closed formula gives the degree set D, its sorted enumeration and the
+breakpoint dimensions.  The codec's basis comes from an elimination on D
+alone: the products' coefficients at the degrees in D, formed from the
+Frobenius powers of f and g rather than by polynomial products, next to an
+identity block that carries each row's combination of the products (see
+_transform).  A symbolic row-echelon reduction of the fully expanded
+products, whose pivot degrees must coincide with the formula, stays as the
+capped reference that the tests and verify compare against.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _row_reduce, poly_mul, poly_trim
-from .linearized import LinearizedPair
+from .field import _BLOCK_ELEMS, _row_reduce, poly_mul, poly_trim
+from .linearized import LinearizedPair, LinearizedPoly
 
-# cap on the cells of the echelon matrix, r^2 rows of 2(r-1)n + 1 + r^2
-# int32 entries (64 MiB); callers fall back to the formula beyond
+# cap on the cells of the reference echelon matrix, r^2 rows of
+# 2(r-1)n + 1 + r^2 int32 entries (64 MiB); build_code keeps the same
+# envelope, and callers fall back to the formula beyond
 REF_MAX_CELLS = 1 << 24
 # cap on the r^2 degrees of a profile, held as Python ints (r <= 2048)
 PROFILE_MAX_DEGREES = 1 << 22
@@ -73,9 +78,25 @@ def degree_profile(n_frak: int, r: int) -> DegreeProfile:
     return DegreeProfile(n_frak, r, d, tuple(breakpoints), tuple(intervals))
 
 
+def _product_order(r: int) -> list[tuple[int, int]]:
+    """The rows (a, b) of g^a f^b in elimination order: descending degree
+    a + b, then ascending (a, b)."""
+    return sorted(((a, b) for a in range(r) for b in range(r)), key=lambda ab: (-sum(ab), ab))
+
+
+def _check_cells(n_frak: int, r: int) -> None:
+    """Refuse (n, r) past the reference echelon's REF_MAX_CELLS cells."""
+    cells = r * r * (2 * (r - 1) * n_frak + 1 + r * r)
+    if cells > REF_MAX_CELLS:
+        raise ValueError(
+            f"row reduction capped at {REF_MAX_CELLS} matrix cells; (n, r) = "
+            f"({n_frak}, {r}) needs r^2 (2(r-1)n + 1 + r^2) = {cells}"
+        )
+
+
 def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
     """Coefficient matrix of g^a f^b, one product per row, columns in
-    descending degree order, rows sorted by descending degree then (a, b).
+    descending degree order, rows in _product_order.
 
     The r^2 columns after the polynomial part hold an identity block: row
     (a, b) has a 1 in column maxdeg + 1 + a*r + b, so elimination carries
@@ -93,11 +114,8 @@ def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
     for _ in range(r - 1):
         g_pows.append(poly_mul(ctx, g_pows[-1], gx))
         f_pows.append(poly_mul(ctx, f_pows[-1], fx))
-    order = sorted(
-        ((a, b) for a in range(r) for b in range(r)), key=lambda ab: (-sum(ab), ab)
-    )
     mat = np.zeros((r * r, maxdeg + 1 + r * r), dtype=np.int32)
-    for row, (a, b) in enumerate(order):
+    for row, (a, b) in enumerate(_product_order(r)):
         p = poly_mul(ctx, g_pows[a], f_pows[b])
         mat[row, maxdeg - len(p) + 1 : maxdeg + 1] = p[::-1]
         mat[row, maxdeg + 1 + a * r + b] = 1
@@ -106,7 +124,8 @@ def _product_rows(pair: LinearizedPair, r: int) -> tuple[np.ndarray, int]:
 
 def _echelon(pair: LinearizedPair, r: int) -> np.ndarray:
     """Row-echelon basis of the product span with its transform, one row
-    per basis polynomial, ascending by degree.
+    per basis polynomial, ascending by degree: the reference that
+    _transform is held to.
 
     Row l holds the coefficients of basis polynomial l in descending degree
     order (2(r-1)n + 1 columns), then the r^2 entries of S_l, its r x r
@@ -118,17 +137,79 @@ def _echelon(pair: LinearizedPair, r: int) -> np.ndarray:
     """
     if not 1 <= r <= pair.n_frak:
         raise ValueError(f"need 1 <= r <= {pair.n_frak}, got r={r}")
-    cells = r * r * (2 * (r - 1) * pair.n_frak + 1 + r * r)
-    if cells > REF_MAX_CELLS:
-        raise ValueError(
-            f"row reduction capped at {REF_MAX_CELLS} matrix cells; (n, r) = "
-            f"({pair.n_frak}, {r}) needs r^2 (2(r-1)n + 1 + r^2) = {cells}"
-        )
+    _check_cells(pair.n_frak, r)
     mat, _ = _product_rows(pair, r)
     # the r^2 products are independent, so every row pivots in a polynomial
     # column and the transform columns are never scanned
     _row_reduce(pair.ctx, mat, full=False)
     return mat[::-1]
+
+
+def _power_terms(p: LinearizedPoly, r: int) -> np.ndarray:
+    """The terms of p^e for every 0 <= e < r, as the rows (e, exponent,
+    logarithm of the coefficient) of a 3 x terms array sorted by e, with
+    terms of one p^e that share an exponent left apart: they are to be
+    XOR-accumulated.
+
+    In characteristic 2 the Frobenius power p^(2^j) of p = sum c_i x^(q^i)
+    is sum c_i^(2^j) x^(2^j q^i), so p^e is the product of those over the
+    bits of e.  The powers whose top bit is j are those below 2^j times
+    p^(2^j): one outer sum per bit, of e, exponents and logarithms."""
+    _, log = p.ctx._tables()
+    period = p.ctx.order - 1
+    terms = [(p.q**i, int(log[c])) for i, c in enumerate(p.coeffs) if c]
+    powers = np.zeros((3, 1), dtype=np.int64)  # p^0 = x^0
+    for j in range(max(r - 1, 0).bit_length()):
+        base = powers[:, : np.searchsorted(powers[0], r - (1 << j))]
+        frob = np.array(
+            [[1 << j] * len(terms), [e << j for e, _ in terms], [(lg << j) % period for _, lg in terms]],
+            dtype=np.int64,
+        )
+        new = (base[:, :, None] + frob[:, None, :]).reshape(3, -1)
+        new[2] %= period
+        powers = np.concatenate([powers, new], axis=1)
+    return powers
+
+
+def _transform(pair: LinearizedPair, r: int) -> np.ndarray:
+    """The transform of _echelon, (r^2, r, r) int32 and ascending by degree:
+    S[l] is S_l, bit for bit, with no univariate product formed.
+
+    _echelon's pivots are exactly the degree set D (the formula), so each
+    of its non-D columns is zero at and below the next pivot row when the
+    scan reaches it and changes nothing; every swap, scaling and
+    elimination factor is read in a D column.  So the same _row_reduce on
+    [coefficients at D | I], r^2 x 2r^2 in _echelon's row and column
+    order, carries the same transform, with pivots exactly the D columns in
+    order.  This route cannot see a pivot outside D (the check that the
+    reference makes); the tests hold it to _echelon.
+
+    The coefficients of g^a f^b are the XOR of the products of the terms
+    of g^a and of f^b (see _power_terms), taken in blocks of g's terms
+    that bound the outer sums to about _BLOCK_ELEMS entries, with the
+    products off D dropped."""
+    n, rr = pair.n_frak, r * r
+    _check_cells(n, r)
+    exp, _ = pair.ctx._tables()
+    # the column of each degree: D descending, then -1 off D
+    col = np.full(2 * (r - 1) * n + 1, -1, dtype=np.int64)
+    col[list(degree_profile(n, r).D)] = np.arange(rr - 1, -1, -1)
+    row_of = np.empty(rr, dtype=np.int64)  # by a*r + b
+    row_of[[a * r + b for a, b in _product_order(r)]] = np.arange(rr)
+    g_a, g_exps, g_logs = _power_terms(pair.g, r)
+    f_b, f_exps, f_logs = _power_terms(pair.f, r)
+    mat = np.zeros((rr, 2 * rr), dtype=np.int32)
+    flat = mat.reshape(-1)
+    step = max(1, _BLOCK_ELEMS // len(f_exps))
+    for lo in range(0, len(g_exps), step):
+        cols = col[g_exps[lo : lo + step, None] + f_exps]
+        i, j = (cols >= 0).nonzero()
+        cells = row_of[g_a[lo + i] * r + f_b[j]] * (2 * rr) + cols[i, j]
+        np.bitwise_xor.at(flat, cells, exp[g_logs[lo + i] + f_logs[j]].astype(np.int32))
+    mat[row_of, rr + np.arange(rr)] = 1
+    if _row_reduce(pair.ctx, mat, full=False) != list(range(rr)):
+        raise AssertionError("transform pivots are not the degree set")  # pragma: no cover
+    return mat[::-1, rr:].reshape(rr, r, r)
 
 
 def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:

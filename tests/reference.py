@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the package to: Horner
 evaluation, formal derivatives, Lagrange interpolation, the Horner-built
 generator and the univariate double-root check for the tensor-form code, the
-full 2-D scan for the grid bound, the enumeration of a whole span for the
+paper's explicit basis of the product span, the full 2-D scan for the grid
+bound, the enumeration of a whole span for the
 one-slice spectra, and the parity checks by elimination of the generator
 with the parity-check solve of an erasure core.
 
@@ -126,6 +127,26 @@ def univariate_double_root_check(code, msg) -> bool:
                 if len(r1) or len(r2):
                     return False
     return True
+
+
+def explicit_basis(r: int) -> np.ndarray:
+    """The paper's basis of the product span as 0/1 coefficient matrices in
+    the products g^a f^b, (r^2, r, r), ascending by degree: for t < 2r - 1
+    and l <= r - 1 - ceil(t/2), x^l g^(t mod 2) (gf)^floor(t/2), of degree
+    tn + l.  Since x = f + g, x^l = sum g^m f^(l - m) over the bitwise
+    subsets m of l in characteristic 2 (Lucas), so row (t, l) has a 1 at
+    (m + ceil(t/2), l - m + floor(t/2)) for each such m, all on the
+    anti-diagonal a + b = t + l.  No elimination and no polynomial product
+    is involved, and the rows do not depend on the pair."""
+    rows = []
+    for t in range(2 * r - 1):
+        for ell in range(r - (t + 1) // 2):
+            s = np.zeros((r, r), dtype=np.int64)
+            for m in range(ell + 1):
+                if m & ell == m:
+                    s[m + (t + 1) // 2, ell - m + t // 2] = 1
+            rows.append(s)
+    return np.array(rows)
 
 
 def grid_upper_scan(n: int, r: int, k: int) -> tuple[int, tuple[int, int]]:

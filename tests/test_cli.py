@@ -130,6 +130,24 @@ def test_distance_sampled_fallback(capsys):
     assert payload["upper_estimate"] >= payload["lower_bound"]
 
 
+@pytest.mark.parametrize("k,d", [(9, 7), (10, 6)])
+def test_distance_exact_on_the_dual_side(capsys, k, d):
+    # |F|^k = 16^k is over the default 2^28 budget, the dual's 16^(16 - k)
+    # is within it
+    code, out, _ = run_cli(
+        capsys, "distance", "--q-log", "2", "--r", "4", "--k", str(k), "--spectrum"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "exhaustive-dual"
+    assert payload["conclusive"] is True
+    assert payload["distance"] == d
+    assert payload["equals_lower_bound"] is (d == payload["lower_bound"])
+    spectrum = {int(w): c for w, c in payload["spectrum"].items()}
+    assert spectrum[0] == 1 and min(w for w in spectrum if w) == d
+    assert sum(spectrum.values()) == 16**k
+
+
 def test_erasure_sim_models(capsys):
     code, out, _ = run_cli(
         capsys,

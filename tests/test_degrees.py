@@ -1,11 +1,23 @@
-"""Degree profile formulas against the symbolic row-echelon oracle."""
+"""Degree profile formulas against the symbolic row-echelon oracle, and the
+transform that build_code reads against that echelon's transform and the
+paper's explicit basis."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsprod.degrees import degree_profile, ref_basis, ref_degree_oracle
+import rsprod.degrees as degrees
+import rsprod.field as field
+from rsprod.codec import build_code
+from rsprod.degrees import _transform, degree_profile, ref_basis, ref_degree_oracle
+from rsprod.field import mat_rank
 from rsprod.linearized import instantiate_standard
+
+from reference import explicit_basis
+from strategies import general_pair, pairs, standard_codes
 
 
 def test_profile_n4_r2():
@@ -138,3 +150,82 @@ def test_ref_cap(monkeypatch, capsys):
     for q_log in ("6", "7"):
         assert main(["build", "--q-log", q_log, "--r", "64", "--k", "1"]) == 2
         assert "error: row reduction capped" in capsys.readouterr().err
+
+
+def echelon_transform(pair, r):
+    """The S_l of the univariate echelon, (r^2, r, r)."""
+    return degrees._echelon(pair, r)[:, -r * r :].reshape(-1, r, r)
+
+
+def assert_transform_matches_echelon(pair, rs):
+    for r in rs:
+        assert np.array_equal(_transform(pair, r), echelon_transform(pair, r)), r
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_transform_matches_echelon_standard(e):
+    pair = instantiate_standard(e)
+    assert_transform_matches_echelon(pair, range(1, pair.n_frak + 1))
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_transform_matches_echelon_general(i):
+    pair = general_pair(i)
+    assert_transform_matches_echelon(pair, range(1, pair.n_frak + 1))
+
+
+@pytest.mark.parametrize("e,c,poly", [(2, 7, 0x19), (3, 5, 0x61), (4, None, 0x11D), (3, 9, None)])
+def test_transform_matches_echelon_overrides(e, c, poly):
+    pair = instantiate_standard(e, c=c, reduction_poly=poly)
+    assert_transform_matches_echelon(pair, range(1, pair.n_frak + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=pairs(), data=st.data())
+def test_transform_matches_echelon_property(pair, data):
+    r = data.draw(st.integers(1, pair.n_frak), label="r")
+    assert_transform_matches_echelon(pair, [r])
+
+
+def test_build_code_forms_no_univariate_product(monkeypatch):
+    pair = instantiate_standard(5)
+    want = echelon_transform(pair, 16)[:240]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("build_code must not expand the products")
+
+    monkeypatch.setattr(degrees, "_product_rows", fail)
+    monkeypatch.setattr(degrees, "poly_mul", fail)
+    monkeypatch.setattr(field, "poly_mul", fail)
+    code = build_code(pair, 16, 240)
+    assert np.array_equal(code.S, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(code=standard_codes((1, 4)))
+def test_explicit_basis_spans_every_prefix(code):
+    # at every j <= k, S[:j] and the explicit basis's first j rows each have
+    # rank j, and stacked they still do: they span the same space.  Every
+    # row of either lies on one anti-diagonal a + b, so a rank is the sum
+    # over the anti-diagonals of the rank of the rows on one, restricted to
+    # its cells.
+    ctx, r, k = code.ctx, code.r, code.k
+    diag = np.add.outer(np.arange(r), np.arange(r)).reshape(-1)
+
+    def on_diagonals(rows):
+        out = []
+        for row in rows:
+            (d,) = np.unique(diag[row != 0])
+            out.append((int(d), row[diag == d]))
+        return out
+
+    s = on_diagonals(code.S.reshape(k, r * r))
+    explicit = on_diagonals(explicit_basis(r).reshape(r * r, r * r)[:k])
+    rows = {"S": {}, "explicit": {}, "stacked": {}}
+    ranks = {name: {} for name in rows}
+    for j in range(k):
+        for name, new in (("S", [s[j]]), ("explicit", [explicit[j]]), ("stacked", [s[j], explicit[j]])):
+            for d, part in new:
+                rows[name].setdefault(d, []).append(part)
+                ranks[name][d] = mat_rank(ctx, np.array(rows[name][d]))
+        assert {name: sum(rk.values()) for name, rk in ranks.items()} == dict.fromkeys(rows, j + 1)
