@@ -14,14 +14,18 @@ lane, and weights come from a popcount.
 
 Every code here is invariant under the translations of its evaluation
 points, a group transitive on the coordinates, so a spectrum needs only the
-|F|^(k-1) words with c_0 = 1: w A_w = n^2 (|F| - 1) N_w.
+|F|^(k-1) words with c_0 = 1: w A_w = n^2 (|F| - 1) N_w.  C_k is also
+invariant under the scalings alpha -> lambda alpha, lambda in GF(q)*, which
+fix the point 0 and act on message digit 1 as m_1 -> lambda m_1; so
+exhaustive_distance counts one value of that digit per GF(q)*-orbit,
+((|F| - 1)/(q - 1) + 1) |F|^(k-2) words in all, (q + 2) |F|^(k-2) at the
+standard pair, where |F| = q^2.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -44,10 +48,10 @@ from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
-# smallest slice, in words, that a worker pool enumerates: on 2 vCPUs a
-# 2^18- or 2^20-word slice takes 8-13 ms serially and 29-38 ms with a
-# 2-worker pool, while a 2^24-word slice gains a fifth with one packed word
-# to a codeword and two fifths with seven
+# fewest enumerated words for which a worker pool starts: on 2 vCPUs 2^18
+# or 2^20 words take 8-13 ms serially and 29-38 ms with a 2-worker pool,
+# while 2^24 words gain a fifth with one packed word to a codeword and two
+# fifths with seven
 _POOL_MIN_WORDS = 1 << 21
 
 
@@ -194,8 +198,19 @@ def _spectrum_over(
     return counts
 
 
+def _top_values(ctx: FieldCtx, scalings: int) -> list[tuple[np.ndarray, int]]:
+    """The values of a slice's last coefficient, in groups that each count
+    with a weight (see _slice_spectrum): with scalings = q - 1 > 1, the
+    coset representatives R = exp[:(|F| - 1)/(q - 1)] of GF(q)* in F*,
+    weight q - 1, and {0}, weight 1; with scalings = 1, F, weight 1."""
+    if scalings == 1:
+        return [(np.arange(ctx.order), 1)]
+    reps = ctx._tables()[0][: (ctx.order - 1) // scalings]
+    return [(reps, scalings), (np.zeros(1, dtype=np.int64), 1)]
+
+
 def _slice_spectrum(
-    ctx: FieldCtx, rows: np.ndarray, workers: int = 1
+    ctx: FieldCtx, rows: np.ndarray, workers: int = 1, scalings: int = 1
 ) -> dict[int, int]:
     """Weight spectrum {w: A_w}, ascending, of the span of the linearly
     independent ``rows``, from the |F|^(k-1) words with c_0 = 1 alone.
@@ -207,10 +222,20 @@ def _slice_spectrum(
     weight-w words with c_0 = 1, and counting the pairs (word, nonzero
     coordinate) gives w A_w = length (|F| - 1) N_w.  The words with
     c_0 = 1 are base + span(others): base is a row nonzero at coordinate 0
-    scaled to 1 there, and the others are the remaining rows with
-    coordinate 0 cleared.  ``workers`` is an upper bound: a pool starts
-    only for a slice of at least _POOL_MIN_WORDS words, and each worker
-    takes a share of the values of the last row's coefficient."""
+    scaled to 1 there, and the others are the remaining rows, in order,
+    with coordinate 0 cleared.
+
+    ``scalings`` = q - 1 > 1 is the caller's promise of q - 1
+    weight-preserving maps of the slice onto itself, one for each lambda
+    of a subgroup GF(q)* of F*, that multiply the last of the others'
+    coefficients by lambda.  They act freely on its nonzero values, so it
+    runs over one value per orbit with weight q - 1 and over 0 with weight
+    1 (see _top_values); with scalings = 1, or no other row, over F.
+
+    ``workers`` is an upper bound: a pool starts only when at least
+    _POOL_MIN_WORDS words are enumerated, and each worker takes a share of
+    the last coefficient's weighted values, the zero share a job of its
+    own."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         return {0: 1}
@@ -222,13 +247,24 @@ def _slice_spectrum(
     base = ctx.mul_arr(rows[lead[0]], ctx.inv(int(rows[lead[0], 0])))
     others = np.delete(rows, lead[0], axis=0)
     others ^= ctx.mul_arr(others[:, :1], base)
+    top = _top_values(ctx, scalings if len(others) else 1)
+    enumerated = sum(len(values) for values, _ in top) * q ** len(others) // q
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and q ** len(others) >= _POOL_MIN_WORDS:
-        share = functools.partial(_spectrum_over, ctx, others, length, base)
+    pooled = workers > 1 and enumerated >= _POOL_MIN_WORDS
+    shares = [
+        (part, weight)
+        for values, weight in top
+        for part in np.array_split(values, workers if pooled else 1)
+        if len(part)
+    ]
+    share = functools.partial(_spectrum_over, ctx, others, length, base)
+    jobs = [part for part, _ in shares]
+    if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(share, np.array_split(np.arange(q), workers)))
+            parts = list(pool.map(share, jobs))
     else:
-        counts = _spectrum_over(ctx, others, length, base)
+        parts = list(map(share, jobs))
+    counts = sum(weight * hist for (_, weight), hist in zip(shares, parts))
     if counts[0]:
         raise AssertionError("a word with c_0 = 1 has weight 0")
     spectrum = {0: 1}
@@ -242,15 +278,42 @@ def _slice_spectrum(
     return spectrum
 
 
+def _scalings(code: CodeInstance) -> int:
+    """q - 1, the number of scalings alpha -> lambda alpha, lambda in
+    GF(q)*, that map C_k onto itself, after checking the premise that
+    makes them act on the message digits alone.
+
+    f and g are GF(q)-linear, so g^a f^b(lambda alpha) =
+    lambda^(a+b) g^a f^b(alpha), and Zf + Zg is closed under GF(q).  Basis
+    polynomial l is graded: every nonzero S_l[a, b] has
+    a + b = D[l] mod (q - 1), as the echelon only combines products that
+    share a degree, and a degree fixes a + b mod (q - 1).  So scaling
+    the points multiplies message digit l by lambda^(D[l] mod (q - 1)),
+    and digit 1, with h_1 of degree D[1] = 1, by lambda itself.  The
+    grading is checked here, k r^2 comparisons, rather than trusted."""
+    q, r = code.pair.f.q, code.r
+    grade = np.add.outer(np.arange(r), np.arange(r)) % (q - 1)
+    degrees = np.array(code.profile.D[: code.k]) % (q - 1)
+    if np.any((code.S != 0) & (grade != degrees[:, None, None])):
+        raise AssertionError("a basis polynomial is not graded mod q - 1")
+    if code.k > 1 and code.profile.D[1] != 1:
+        raise AssertionError("basis polynomial 1 is not of degree 1")
+    return q - 1
+
+
 def exhaustive_distance(
     code: CodeInstance, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> tuple[int, WeightSpectrum]:
     """Exact minimum nonzero weight and full spectrum of the code.
 
-    The spectrum comes from one translation slice of |F|^(k-1) words (see
-    _slice_spectrum).  The budget still bounds the whole message space
-    |F|^k, so which codes count as in budget does not depend on the
-    method; over it, BudgetExceeded lets callers fall back to sampling.
+    The spectrum comes from one translation slice (see _slice_spectrum)
+    with message digit 1 as its last coefficient, where the scalings by
+    GF(q)* (see _scalings) leave one value per orbit: R with weight q - 1
+    and 0 with weight 1, ((|F| - 1)/(q - 1) + 1) |F|^(k-2) words in all
+    (all |F|^(k-1) of the slice at q = 2 or k = 1).  The budget still
+    bounds the whole message space |F|^k, so which codes count as in
+    budget does not depend on the method; over it, BudgetExceeded lets
+    callers fall back to sampling.
     """
     size = code.ctx.order ** code.k
     if size > budget:
@@ -266,7 +329,10 @@ def exhaustive_distance(
             RuntimeWarning,
             stacklevel=2,
         )
-    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, code.G, workers))
+    # G[0], the constant, is the base; digit 1 goes last
+    order = [0, *range(2, code.k), 1][: code.k]
+    rows = code.G[order]
+    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, rows, workers, _scalings(code)))
     return spectrum.min_nonzero_weight(), spectrum
 
 
@@ -296,20 +362,28 @@ def sampled_distance(code: CodeInstance, trials: int, seed: int = 0) -> int:
 
 def macwilliams_transform(counts: dict[int, int], n: int, q: int) -> dict[int, int]:
     """Weight distribution of the dual code, by the exact integer
-    MacWilliams identity over a field of size q."""
+    MacWilliams identity over a field of size q: B_i is sum_w A_w K_i(w)
+    over the code's size, with the Krawtchouk values K_i(w) from the
+    three-term recurrence
+    (i+1) K_(i+1)(w) = ((q-1)(n-i) + i - q w) K_i(w) - (q-1)(n-i+1) K_(i-1)(w),
+    K_0 = 1 and K_(-1) = 0, in O(n) integer steps per weight."""
     size = sum(counts.values())
+    acc = [0] * (n + 1)
+    for w, a_w in counts.items():
+        if not a_w:
+            continue
+        prev, cur = 0, 1
+        for i in range(n):
+            acc[i] += a_w * cur
+            step = ((q - 1) * (n - i) + i - q * w) * cur - (q - 1) * (n - i + 1) * prev
+            nxt, rem = divmod(step, i + 1)
+            if rem:  # pragma: no cover - Krawtchouk values are integers
+                raise AssertionError("Krawtchouk recurrence did not divide evenly")
+            prev, cur = cur, nxt
+        acc[n] += a_w * cur
     out: dict[int, int] = {}
-    for i in range(n + 1):
-        acc = 0
-        for w, a_w in counts.items():
-            if not a_w:
-                continue
-            k_i = 0
-            for j in range(min(i, w) + 1):
-                term = math.comb(w, j) * math.comb(n - w, i - j) * (q - 1) ** (i - j)
-                k_i += -term if j & 1 else term
-            acc += a_w * k_i
-        val, rem = divmod(acc, size)
+    for i, total in enumerate(acc):
+        val, rem = divmod(total, size)
         if rem:  # pragma: no cover - identity guarantees divisibility
             raise AssertionError("transform did not divide evenly")
         if val:

@@ -2,9 +2,9 @@
 evaluation, formal derivatives, Lagrange interpolation, the Horner-built
 generator and the univariate double-root check for the tensor-form code, the
 paper's explicit basis of the product span, the full 2-D scan for the grid
-bound, the enumeration of a whole span for the
-one-slice spectra, and the parity checks by elimination of the generator
-with the parity-check solve of an erasure core.
+bound, the enumeration of a whole span for the one-slice spectra, the
+MacWilliams identity term by term, and the parity checks by elimination of
+the generator with the parity-check solve of an erasure core.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -13,6 +13,7 @@ Polynomials are int64 coefficient arrays, lowest degree first, as in
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -176,6 +177,28 @@ def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
         words = mat_mul(ctx, index[:, None] // places % q, rows)
         counts += np.bincount(np.count_nonzero(words, axis=1), minlength=len(counts))
     return {w: int(c) for w, c in enumerate(counts) if c}
+
+
+def macwilliams_transform(counts: dict[int, int], n: int, q: int) -> dict[int, int]:
+    """Weight distribution of the dual code, by the MacWilliams identity
+    with every Krawtchouk value summed from its binomial terms."""
+    size = sum(counts.values())
+    out: dict[int, int] = {}
+    for i in range(n + 1):
+        acc = 0
+        for w, a_w in counts.items():
+            if not a_w:
+                continue
+            k_i = 0
+            for j in range(min(i, w) + 1):
+                term = math.comb(w, j) * math.comb(n - w, i - j) * (q - 1) ** (i - j)
+                k_i += -term if j & 1 else term
+            acc += a_w * k_i
+        val, rem = divmod(acc, size)
+        assert not rem, "transform did not divide evenly"
+        if val:
+            out[i] = val
+    return out
 
 
 def reference_H(code) -> np.ndarray:

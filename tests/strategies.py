@@ -53,11 +53,15 @@ def draw_code(pair, data):
 
 
 @st.composite
-def standard_codes(draw, q_logs: tuple[int, int]):
+def standard_codes(draw, q_logs: tuple[int, int], max_messages: int | None = None):
     """A code of the standard pair at a q_log in the closed range q_logs,
-    with any 1 <= r <= n and 1 <= k <= r^2, the ends drawn often."""
+    with any 1 <= r <= n and 1 <= k <= r^2, the ends drawn often; with
+    max_messages, k stops where |F|^k would exceed it."""
     pair = instantiate_standard(draw(st.integers(*q_logs), label="q_log"))
     n = pair.n_frak
     r = draw(st.sampled_from([1, n]) | st.integers(1, n), label="r")
-    k = draw(st.sampled_from([1, r * r]) | st.integers(1, r * r), label="k")
+    top = r * r
+    while max_messages is not None and top > 1 and pair.ctx.order**top > max_messages:
+        top -= 1
+    k = draw(st.sampled_from([1, top]) | st.integers(1, top), label="k")
     return build_code(pair, r, k)

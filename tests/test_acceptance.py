@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line, and
-a sweep of the paper's claims over every q = 8 code within the budget.
+sweeps of the paper's claims over every q = 4 and q = 8 code within the
+budget.
 
 The heavy enumerations (criterion 3's 2^32 run, criterion 9's dual-code
 sweep) are shared through session fixtures.  Run with -s to watch the
@@ -11,7 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from rsprod.analysis import double_root_check, exhaustive_distance, spectrum_via_dual
+from rsprod.analysis import (
+    DEFAULT_BUDGET,
+    double_root_check,
+    exhaustive_distance,
+    spectrum_via_dual,
+)
 from rsprod.bounds import (
     bound_sweep,
     exact_distance,
@@ -219,19 +225,16 @@ def test_criterion_9_weight_spectra(pairs, q4_exhaustive):
     print("\n[acceptance] criterion 9 (second weight = delta*(delta+1)): PASS")
 
 
-def test_claims_at_every_q8_code_in_reach(pairs):
-    # every q = 8 code whose spectrum fits the default budget on one side:
-    # k <= 4 at each r on the code itself, and k = 60..64 at r = 8 on the
-    # dual (64^(64 - k) <= 2^28 needs k >= 60, past r^2 below r = 8).  The bounds must hold and the known distances must be met; a
-    # word that breaks either is reported here, not loosened away.
-    pair = pairs[3]
+def claim_violations(pair, cases) -> list[str]:
+    """The codes (r, k) of ``cases`` whose distance breaks lower_opt <= d
+    <= the upper bounds or misses a known exact distance.  Each spectrum is
+    the code's own when |F|^k fits the default budget, else its dual's."""
     n = pair.n_frak
-    cases = [(r, k) for r in range(1, n + 1) for k in range(1, min(4, r * r) + 1)]
-    cases += [(8, k) for k in range(60, 65)]
     violations = []
     for r, k in cases:
         code = build_code(pair, r, k)
-        spectrum = exhaustive_distance(code)[1] if k <= 4 else spectrum_via_dual(code)
+        own = code.ctx.order**k <= DEFAULT_BUDGET
+        spectrum = exhaustive_distance(code)[1] if own else spectrum_via_dual(code)
         d = spectrum.min_nonzero_weight()
         lower, _ = lower_opt(n, r, k, code.profile.partial(k))
         uppers = [lrc_upper(n, r, k), grid_upper(n, r, k)[0], gridv2_upper(n, r, k)]
@@ -239,6 +242,33 @@ def test_claims_at_every_q8_code_in_reach(pairs):
         exact = exact_distance(n, r, k)
         if not lower <= d <= upper or exact not in (None, d):
             violations.append(f"(r, k) = ({r}, {k}): d = {d}, bounds [{lower}, {upper}], exact {exact}")
+    return violations
+
+
+def test_claims_at_every_q4_code_in_reach(pairs):
+    # every q = 4 code whose spectrum fits the default budget on one side:
+    # k <= 7 on the code itself (16^k <= 2^28) and k >= 9 on the dual
+    # (16^(16 - k) <= 2^28), so all but k = 8 at r = 3 and r = 4.  The
+    # bounds must hold and the known distances must be met; a word that
+    # breaks either is reported here, not loosened away.
+    n = pairs[2].n_frak
+    cases = [(r, k) for r in range(1, n + 1) for k in range(1, r * r + 1) if k != 8]
+    assert len(cases) == 28
+    violations = claim_violations(pairs[2], cases)
+    assert not violations, "\n".join(violations)
+    print(f"\n[acceptance] paper claims at {len(cases)} q = 4 codes: PASS")
+
+
+def test_claims_at_every_q8_code_in_reach(pairs):
+    # every q = 8 code whose spectrum fits the default budget on one side:
+    # k <= 4 at each r on the code itself, and k = 60..64 at r = 8 on the
+    # dual (64^(64 - k) <= 2^28 needs k >= 60, past r^2 below r = 8).  The
+    # bounds must hold and the known distances must be met; a word that
+    # breaks either is reported here, not loosened away.
+    n = pairs[3].n_frak
+    cases = [(r, k) for r in range(1, n + 1) for k in range(1, min(4, r * r) + 1)]
+    cases += [(8, k) for k in range(60, 65)]
     assert len(cases) == 34
+    violations = claim_violations(pairs[3], cases)
     assert not violations, "\n".join(violations)
     print(f"\n[acceptance] paper claims at {len(cases)} q = 8 codes: PASS")

@@ -1,5 +1,6 @@
 """Oracles: enumeration, spectra, erasure recoverability, peeling, double roots."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -18,6 +19,7 @@ from rsprod.analysis import (
     _pack_rows,
     _peel_core,
     _rank_recoverable,
+    _scalings,
     _slice_spectrum,
     _spectrum_over,
     block_margin_mask,
@@ -35,18 +37,21 @@ from rsprod.cli import main
 from rsprod.codec import _log_differences, build_code, encode, in_code
 from rsprod.field import (
     FieldCtx,
+    is_irreducible,
     mat_nullspace,
     mat_rank,
     mat_solve,
     poly_eval_many,
     poly_from_roots,
     poly_mul,
+    smallest_irreducible,
 )
-from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard
+from rsprod.linearized import LinearizedPoly, build_pair, instantiate_standard, subfield
 from rsprod.verify import _check_peel_consistency
 
+import reference
 from reference import full_spectrum, interpolate, parity_check_solve
-from strategies import general_pair
+from strategies import general_pair, standard_codes
 
 
 @pytest.fixture(scope="module")
@@ -259,12 +264,14 @@ def test_pool_starts_at_the_threshold(pair_q4, monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "seen", [])
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    code = build_code(pair_q4, 2, 3)  # a slice of 16^2 words
+    # a slice of 16^2 words, of which the orbits of digit 1 leave
+    # (5 + 1) * 16: its 15 nonzero values fall into 5 orbits of GF(4)*
+    code = build_code(pair_q4, 2, 3)
     _, serial = exhaustive_distance(code)
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 257)
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 97)
     _, below = exhaustive_distance(code, workers=2)
     assert SerialPool.seen == [] and below.counts == serial.counts
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 256)
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 96)
     _, at = exhaustive_distance(code, workers=2)
     assert SerialPool.seen == [2] and at.counts == serial.counts
     # one worker never starts a pool, however large the slice
@@ -302,6 +309,7 @@ def test_macwilliams_against_direct_dual_enumeration(pair_q2):
             w = int(np.count_nonzero(word))
             dual_counts[w] = dual_counts.get(w, 0) + 1
         assert macwilliams_transform(spectrum.counts, 4, 4) == dual_counts
+        assert reference.macwilliams_transform(spectrum.counts, 4, 4) == dual_counts
         # involution: transforming twice returns the original
         assert macwilliams_transform(dual_counts, 4, 4) == spectrum.counts
 
@@ -370,11 +378,14 @@ def test_codes_are_translation_invariant(name, r, k):
         # evaluation sets that are proper subspaces of the field, the last
         # in three words of 10-bit cells
         ("gf64", 3, 3, 1), ("gf256", 2, 2, 2), ("gf1024", 2, 2, 1), ("gf1024", 2, 2, 2),
+        # one value of digit 1 per GF(q)*-orbit, more orbits than workers
+        ("q4", 3, 5, 2), ("q4", 4, 4, 2), ("q8", 3, 3, 2), ("q16", 3, 2, 2),
     ],
 )
 def test_slice_spectrum_matches_full_enumeration(name, r, k, workers, monkeypatch):
     # with two workers, every slice of two words or more goes to the pool
     monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
     code = build_code(SLICE_PAIRS[name](), r, k)
     d, spectrum = exhaustive_distance(code, workers=workers)
     assert spectrum.counts == full_spectrum(code.ctx, code.G)
@@ -412,6 +423,103 @@ def test_long_run_warning_counts_the_slice(pair_q4, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exhaustive_distance(build_code(pair_q4, 2, 2), budget=16**2)
+
+
+# ---------------------------------------------------------------------------
+# One value of message digit 1 per GF(q)*-orbit
+# ---------------------------------------------------------------------------
+
+
+def largest_c(q_log):
+    """The largest field element outside the order-q subfield: a c other
+    than the default."""
+    ctx = FieldCtx(2 * q_log)
+    return max(set(ctx.elements()) - set(subfield(ctx, q_log)))
+
+
+def second_irreducible(m):
+    """An irreducible reduction polynomial of degree m other than the
+    default."""
+    default = smallest_irreducible(m)
+    return next(p for p in range(default + 1, 1 << (m + 1)) if is_irreducible(p, m))
+
+
+@pytest.mark.parametrize(
+    "make,r,k",
+    [
+        (lambda: instantiate_standard(2), 3, 9),
+        (lambda: instantiate_standard(2, c=largest_c(2)), 3, 7),
+        (lambda: instantiate_standard(3), 8, 64),
+        (lambda: instantiate_standard(3, reduction_poly=second_irreducible(6)), 4, 11),
+        (lambda: instantiate_standard(4), 6, 36),
+        (lambda: instantiate_standard(4, c=largest_c(4)), 5, 20),
+        (lambda: instantiate_standard(4, reduction_poly=second_irreducible(8)), 3, 8),
+    ],
+)
+def test_scalings_multiply_each_generator_row(make, r, k):
+    # alpha -> lambda alpha permutes the grid, and for every lambda of
+    # GF(q)* row l of G comes back multiplied by lambda^(D[l] mod (q - 1))
+    pair = make()
+    code = build_code(pair, r, k)
+    ctx, q = code.ctx, pair.f.q
+    index = {a: i for i, a in enumerate(pair.eval_points)}
+    grades = np.array(code.profile.D[:k]) % (q - 1)
+    scalars = subfield(ctx, pair.f.q_log)[1:]
+    assert len(scalars) == q - 1 and _scalings(code) == q - 1
+    for lam in scalars:
+        moved = code.G[:, [index[ctx.mul(lam, a)] for a in pair.eval_points]]
+        assert np.array_equal(moved, ctx.mul_arr(ctx.pow_arr(lam, grades)[:, None], code.G))
+
+
+def test_scalings_check_the_grading(pair_q4):
+    # an entry of S off its row's grade breaks the premise, and is caught
+    # before any enumeration
+    code = build_code(pair_q4, 3, 7)
+    s = code.S.copy()
+    s[1, 0, 0] = 1  # a + b = 0, while D[1] = 1
+    with pytest.raises(AssertionError, match="not graded"):
+        exhaustive_distance(dataclasses.replace(code, S=s))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(code=standard_codes((2, 3), max_messages=1 << 16))
+def test_orbit_spectrum_matches_full_enumeration(code):
+    assert exhaustive_distance(code)[1].counts == full_spectrum(code.ctx, code.G)
+
+
+def test_workers_split_the_representatives_and_zero_is_a_job(pair_q2, pair_q4, monkeypatch):
+    jobs = []
+
+    class RecordingPool(SerialPool):
+        def map(self, fn, items):
+            jobs.append([list(values) for values in items])
+            return map(fn, jobs[-1])
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    # GF(4)* leaves 5 orbits of the 15 nonzero values of digit 1
+    code = build_code(pair_q4, 2, 3)
+    exp = code.ctx._tables()[0]
+    _, spectrum = exhaustive_distance(code, workers=2)
+    assert jobs == [[list(exp[:3]), list(exp[3:5]), [0]]]
+    assert spectrum.counts == full_spectrum(code.ctx, code.G)
+    # at q = 2 the group is trivial: all of F, weight 1, in two shares
+    exhaustive_distance(build_code(pair_q2, 2, 3), workers=2)
+    assert jobs[1] == [[0, 1], [2, 3]]
+
+
+def test_orbit_weight_q_is_caught(pair_q4, monkeypatch):
+    # counting each orbit q times instead of q - 1 must trip a guard
+    real = analysis._top_values
+
+    def weight_q(ctx, scalings):
+        return [(values, w + 1 if w > 1 else w) for values, w in real(ctx, scalings)]
+
+    monkeypatch.setattr(analysis, "_top_values", weight_q)
+    for code in (build_code(pair_q4, 2, 3), build_code(pair_q4, 3, 7), build_code(instantiate_standard(3), 2, 2)):
+        with pytest.raises(AssertionError):
+            exhaustive_distance(code)
 
 
 def test_erasure_recoverable_edges(pair_q4):
