@@ -209,6 +209,12 @@ def _top_values(ctx: FieldCtx, scalings: int) -> list[tuple[np.ndarray, int]]:
     return [(reps, scalings), (np.zeros(1, dtype=np.int64), 1)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _slice_spectrum(
     ctx: FieldCtx, rows: np.ndarray, workers: int = 1, scalings: int = 1
 ) -> dict[int, int]:
@@ -232,10 +238,12 @@ def _slice_spectrum(
     runs over one value per orbit with weight q - 1 and over 0 with weight
     1 (see _top_values); with scalings = 1, or no other row, over F.
 
-    ``workers`` is an upper bound: a pool starts only when at least
-    _POOL_MIN_WORDS words are enumerated, and each worker takes a share of
-    the last coefficient's weighted values, the zero share a job of its
-    own."""
+    One count of the words enumerated drives the pool and the long-run
+    warning, a RuntimeWarning past DEFAULT_BUDGET of them.  ``workers`` is
+    an upper bound, capped at the usable CPUs: a pool starts only when at
+    least _POOL_MIN_WORDS words are enumerated, and each worker takes a
+    share of the last coefficient's weighted values, the zero share a job
+    of its own."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         return {0: 1}
@@ -249,7 +257,10 @@ def _slice_spectrum(
     others ^= ctx.mul_arr(others[:, :1], base)
     top = _top_values(ctx, scalings if len(others) else 1)
     enumerated = sum(len(values) for values, _ in top) * q ** len(others) // q
-    workers = min(workers, os.cpu_count() or 1)
+    if enumerated > DEFAULT_BUDGET:
+        msg = f"exhaustive enumeration of {enumerated} codewords; expect minutes of runtime"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    workers = min(workers, _usable_cpus())
     pooled = workers > 1 and enumerated >= _POOL_MIN_WORDS
     shares = [
         (part, weight)
@@ -310,24 +321,16 @@ def exhaustive_distance(
     with message digit 1 as its last coefficient, where the scalings by
     GF(q)* (see _scalings) leave one value per orbit: R with weight q - 1
     and 0 with weight 1, ((|F| - 1)/(q - 1) + 1) |F|^(k-2) words in all
-    (all |F|^(k-1) of the slice at q = 2 or k = 1).  The budget still
-    bounds the whole message space |F|^k, so which codes count as in
-    budget does not depend on the method; over it, BudgetExceeded lets
-    callers fall back to sampling.
+    (all |F|^(k-1) of the slice at q = 2 or k = 1), the count that the
+    long-run warning reports.  The budget still bounds the whole message
+    space |F|^k, so which codes count as in budget does not depend on the
+    method; over it, BudgetExceeded lets callers fall back to sampling.
     """
     size = code.ctx.order ** code.k
     if size > budget:
         raise BudgetExceeded(
             f"budget exceeded: |F|^k = {size} > {budget}; "
             "raise the budget or fall back to sampled_distance"
-        )
-    enumerated = size // code.ctx.order
-    if enumerated > DEFAULT_BUDGET:
-        warnings.warn(
-            f"exhaustive enumeration of {enumerated} codewords (one translation "
-            f"slice of {size}); expect minutes of runtime",
-            RuntimeWarning,
-            stacklevel=2,
         )
     # G[0], the constant, is the base; digit 1 goes last
     order = [0, *range(2, code.k), 1][: code.k]
@@ -395,8 +398,8 @@ def spectrum_via_dual(
     code: CodeInstance, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightSpectrum:
     """Exact spectrum obtained by enumerating one translation slice of the
-    dual code (see _slice_spectrum) and transforming; useful when the code
-    itself is over budget.  The budget bounds the whole dual, |F|^(n^2-k)."""
+    dual code (see _slice_spectrum, which also warns on a long run) and
+    transforming.  The budget bounds the whole dual, |F|^(n^2-k)."""
     ctx = code.ctx
     # H has n^2 - k rows; it is not built for a dual over budget
     size = ctx.order ** (code.length - code.k)

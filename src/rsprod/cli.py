@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -135,18 +134,18 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def _exact_spectrum(code, budget: int, workers: int):
     """(method, spectrum) from enumerating the code when |F|^k is within
     the budget, else from its dual when |F|^(n^2-k) is; None when neither
-    is."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+    is.  Either route's long-run warning is silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
             _, spectrum = analysis.exhaustive_distance(code, budget=budget, workers=workers)
-        return "exhaustive", spectrum
-    except analysis.BudgetExceeded:
-        pass
-    try:
-        return "exhaustive-dual", analysis.spectrum_via_dual(code, budget=budget, workers=workers)
-    except analysis.BudgetExceeded:
-        return None
+            return "exhaustive", spectrum
+        except analysis.BudgetExceeded:
+            pass
+        try:
+            return "exhaustive-dual", analysis.spectrum_via_dual(code, budget=budget, workers=workers)
+        except analysis.BudgetExceeded:
+            return None
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -284,7 +283,7 @@ def _q_log(text: str) -> int:
 
 def _positive(text: str) -> int:
     """--threads, --trials and --budget, checked at parsing: a count of at
-    least 1 (the worker count is further capped at the CPU count)."""
+    least 1 (the worker count is further capped at the usable CPUs)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=_positive, default=analysis.DEFAULT_BUDGET)
     sp.add_argument("--trials", type=_positive, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive, default=analysis._usable_cpus())
     sp.add_argument("--spectrum", action="store_true", help="include the weight spectrum")
     sp.set_defaults(func=cmd_distance)
 
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--level", choices=("fast", "full"), default="fast")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive, default=analysis._usable_cpus())
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("figure", help="bound curves in long CSV format")

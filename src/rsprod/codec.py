@@ -197,8 +197,9 @@ def build_code(pair: LinearizedPair, r: int, k: int) -> CodeInstance:
         raise ValueError(f"need 1 <= r <= {n}, got r={r}")
     if not 1 <= k <= r * r:
         raise ValueError(f"need 1 <= k <= r^2 = {r * r}, got k={k}")
-    s = _transform(pair, r)[:k].astype(np.int64)
-    return CodeInstance(pair, r, k, degree_profile(n, r), s)
+    profile = degree_profile(n, r)
+    s = _transform(pair, profile)[:k].astype(np.int64)
+    return CodeInstance(pair, r, k, profile, s)
 
 
 def encode(code: CodeInstance, msg: Sequence[int]) -> np.ndarray:

@@ -171,9 +171,11 @@ def _power_terms(p: LinearizedPoly, r: int) -> np.ndarray:
     return powers
 
 
-def _transform(pair: LinearizedPair, r: int) -> np.ndarray:
-    """The transform of _echelon, (r^2, r, r) int32 and ascending by degree:
-    S[l] is S_l, bit for bit, with no univariate product formed.
+def _transform(pair: LinearizedPair, profile: DegreeProfile) -> np.ndarray:
+    """The transform of _echelon at r = profile.r, (r^2, r, r) int32 and
+    ascending by degree: S[l] is S_l, bit for bit, with no univariate
+    product formed.  ``profile`` is the pair's degree_profile(n, r), which
+    the caller has already built.
 
     _echelon's pivots are exactly the degree set D (the formula), so each
     of its non-D columns is zero at and below the next pivot row when the
@@ -188,12 +190,13 @@ def _transform(pair: LinearizedPair, r: int) -> np.ndarray:
     of g^a and of f^b (see _power_terms), taken in blocks of g's terms
     that bound the outer sums to about _BLOCK_ELEMS entries, with the
     products off D dropped."""
-    n, rr = pair.n_frak, r * r
+    n, r = pair.n_frak, profile.r
+    rr = r * r
     _check_cells(n, r)
     exp, _ = pair.ctx._tables()
     # the column of each degree: D descending, then -1 off D
     col = np.full(2 * (r - 1) * n + 1, -1, dtype=np.int64)
-    col[list(degree_profile(n, r).D)] = np.arange(rr - 1, -1, -1)
+    col[list(profile.D)] = np.arange(rr - 1, -1, -1)
     row_of = np.empty(rr, dtype=np.int64)  # by a*r + b
     row_of[[a * r + b for a, b in _product_order(r)]] = np.arange(rr)
     g_a, g_exps, g_logs = _power_terms(pair.g, r)

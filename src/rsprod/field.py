@@ -361,20 +361,6 @@ def poly_compose(ctx: FieldCtx, outer: np.ndarray, gx: np.ndarray, fx: np.ndarra
     return acc
 
 
-def bipoly_eval_many(ctx: FieldCtx, s: np.ndarray, xs, ys) -> np.ndarray:
-    """Evaluate a bivariate polynomial at paired point arrays."""
-    s = np.asarray(s, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    acc = np.zeros_like(xs)
-    for i in range(s.shape[0] - 1, -1, -1):
-        row = np.zeros_like(ys)
-        for j in range(s.shape[1] - 1, -1, -1):
-            row = ctx.mul_arr(row, ys) ^ int(s[i, j])
-        acc = ctx.mul_arr(acc, xs) ^ row
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Dense linear algebra over the field.
 # ---------------------------------------------------------------------------

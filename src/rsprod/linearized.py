@@ -156,16 +156,16 @@ def instantiate_standard(
 ) -> LinearizedPair:
     """The small-field pair over GF(2^(2e)): f = (x^q - x)/(c^(q-1) - 1)
     with c outside the order-q subfield, so that Zf is that subfield,
-    Zg = c*Zf, and the evaluation points run over the whole field."""
+    Zg = c*Zf, and the evaluation points run over the whole field.  x^q = x
+    holds exactly on the subfield, so c (by default the smallest) needs
+    c^q != c; build_pair then computes the subfield once, as Zf."""
     if q_log < 1:
         raise ValueError("q must be at least 2")
     ctx = FieldCtx(2 * q_log, reduction_poly)
     q = 1 << q_log
-    zf = subfield(ctx, q_log)
-    members = set(zf)
     if c is None:
-        c = next(x for x in ctx.elements() if x not in members)
-    elif not 0 <= c < ctx.order or c in members:
+        c = next(x for x in ctx.elements() if ctx.pow(x, q) != x)
+    elif not 0 <= c < ctx.order or ctx.pow(c, q) == c:
         raise ValueError("c must be a field element outside the order-q subfield")
     u = ctx.inv(ctx.pow(c, q - 1) ^ 1)
     f = LinearizedPoly(ctx, q_log, (u, u))

@@ -28,9 +28,9 @@ from rsprod.bounds import (
     rs_degree_lower,
 )
 from rsprod.cli import main
-from rsprod.codec import build_code
+from rsprod.codec import _grid_values, build_code
 from rsprod.degrees import degree_profile
-from rsprod.field import bipoly_eval_many, mat_solve
+from rsprod.field import mat_solve
 from rsprod.linearized import instantiate_standard
 from rsprod.verify import (
     _check_bound_ordering,
@@ -171,12 +171,7 @@ def test_criterion_7_double_roots(pairs):
                     [[ctx.mul(beta0, gamma0), beta0], [gamma0, 1]], dtype=np.int64
                 )
                 s = _bipoly_mul(ctx, factor, t)
-                word = bipoly_eval_many(
-                    ctx,
-                    s,
-                    np.repeat(np.array(pair.Zf, dtype=np.int64), n),
-                    np.tile(np.array(pair.Zg, dtype=np.int64), n),
-                )
+                word = _grid_values(code, s).reshape(-1)
                 status, msg = mat_solve(ctx, code.G.T, word)
                 assert status == "unique"
                 grid = word.reshape(n, n)

@@ -33,7 +33,7 @@ from rsprod.analysis import (
     strip_margin_mask,
 )
 from rsprod.bounds import exact_distance
-from rsprod.cli import main
+from rsprod.cli import build_parser, main
 from rsprod.codec import _log_differences, build_code, encode, in_code
 from rsprod.field import (
     FieldCtx,
@@ -240,12 +240,18 @@ class SerialPool:
         return map(fn, items)
 
 
+def usable_cpus(monkeypatch, count):
+    """Let the process run on ``count`` CPUs, whatever the machine has."""
+    affinity = set(range(count))
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
 def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "seen", [])
     # the slice of (4, 2, 3) has 256 words, far below the real threshold
     monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+    usable_cpus(monkeypatch, 3)
     code = build_code(pair_q4, 2, 3)
     _, serial = exhaustive_distance(code, workers=1)
     assert SerialPool.seen == []
@@ -254,16 +260,34 @@ def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
     assert main(["distance", "--q-log", "2", "--r", "2", "--k", "3", "--threads", "1000"]) == 0
     assert SerialPool.seen == [3, 3]
     assert json.loads(capsys.readouterr().out)["distance"] == serial.min_nonzero_weight()
-    # an unknown CPU count means one: no pool at all
+    # without an affinity set the CPU count caps, and an unknown one means
+    # one: no pool at all
+    monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    exhaustive_distance(code, workers=8)
+    assert SerialPool.seen == [3, 3, 2]
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
     _, single = exhaustive_distance(code, workers=8)
-    assert SerialPool.seen == [3, 3] and single.counts == serial.counts
+    assert SerialPool.seen == [3, 3, 2] and single.counts == serial.counts
+
+
+def test_one_usable_cpu_starts_no_pool(pair_q4, monkeypatch):
+    # two CPUs in the machine, one of them usable by this process
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "seen", [])
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 1)
+    code = build_code(pair_q4, 2, 3)
+    _, spectrum = exhaustive_distance(code, workers=2)
+    assert SerialPool.seen == [] and spectrum.counts == full_spectrum(code.ctx, code.G)
+    assert build_parser().parse_args(["verify"]).threads == 1
 
 
 def test_pool_starts_at_the_threshold(pair_q4, monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "seen", [])
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     # a slice of 16^2 words, of which the orbits of digit 1 leave
     # (5 + 1) * 16: its 15 nonzero values fall into 5 orbits of GF(4)*
     code = build_code(pair_q4, 2, 3)
@@ -385,7 +409,7 @@ def test_codes_are_translation_invariant(name, r, k):
 def test_slice_spectrum_matches_full_enumeration(name, r, k, workers, monkeypatch):
     # with two workers, every slice of two words or more goes to the pool
     monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     code = build_code(SLICE_PAIRS[name](), r, k)
     d, spectrum = exhaustive_distance(code, workers=workers)
     assert spectrum.counts == full_spectrum(code.ctx, code.G)
@@ -418,11 +442,16 @@ def test_slice_spectrum_guards():
 
 def test_long_run_warning_counts_the_slice(pair_q4, monkeypatch):
     monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 16)
-    with pytest.warns(RuntimeWarning, match="enumeration of 256 codewords"):
+    # the words enumerated: (5 orbits of digit 1 + zero) * 16, not 16^2
+    with pytest.warns(RuntimeWarning, match="enumeration of 96 codewords"):
         exhaustive_distance(build_code(pair_q4, 2, 3), budget=16**3)
+    # the dual route warns by the same count: a 3-row H leaves 16^2 words
+    with pytest.warns(RuntimeWarning, match="enumeration of 256 codewords"):
+        spectrum_via_dual(build_code(pair_q4, 4, 13), budget=16**3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exhaustive_distance(build_code(pair_q4, 2, 2), budget=16**2)
+        spectrum_via_dual(build_code(pair_q4, 4, 14), budget=16**2)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +526,7 @@ def test_workers_split_the_representatives_and_zero_is_a_job(pair_q2, pair_q4, m
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     # GF(4)* leaves 5 orbits of the 15 nonzero values of digit 1
     code = build_code(pair_q4, 2, 3)
     exp = code.ctx._tables()[0]

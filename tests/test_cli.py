@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rsprod import analysis, bounds, verify
+from rsprod import analysis, bounds, codec, verify
 from rsprod.cli import main
 from rsprod.degrees import degree_profile
 from rsprod.verify import check_field_axioms
@@ -441,12 +441,18 @@ def _peel_check(trials):
     return lambda: verify._check_peel_consistency(((2, 2, 3),), np.random.default_rng(0), trials)
 
 
+@pytest.mark.parametrize("case", verify.SMALL_DISTANCES + verify.HEAVY_PARITY_DISTANCES)
+def test_verify_distance_cases_have_a_closed_form(case):
+    e, r, k = case
+    assert bounds.exact_distance(1 << e, r, k) is not None
+
+
 # (check, module and function to corrupt, corruption of its return value)
 VERIFY_FAULTS = [
     pytest.param(lambda: verify._check_degree_oracle((1,)), verify, "ref_degree_oracle",
                  lambda out: out[:-1] + (-1,), id="degree-oracle"),
     pytest.param(lambda: verify._check_diagram((1,), np.random.default_rng(0), per_r=1),
-                 verify, "bipoly_eval_many", lambda out: out ^ 1, id="diagram"),
+                 codec, "_grid_values", lambda out: out ^ 1, id="diagram"),
     pytest.param(_peel_check(20), analysis, "erasure_recoverable", lambda out: not out,
                  id="peel-verdict"),
     pytest.param(_peel_check(20), analysis, "peel_decode",

@@ -46,6 +46,17 @@ def test_standard_pair_c_override():
         instantiate_standard(2, c=0x6)  # inside the subfield
 
 
+@pytest.mark.parametrize("q_log", [1, 2, 3, 4, 5])
+def test_default_c_is_the_smallest_element_outside_the_subfield(q_log):
+    ctx = FieldCtx(2 * q_log)
+    inside = subfield(ctx, q_log)
+    c = min(set(ctx.elements()) - set(inside))
+    assert instantiate_standard(q_log) == instantiate_standard(q_log, c=c)
+    for x in inside:
+        with pytest.raises(ValueError, match="outside the order-q subfield"):
+            instantiate_standard(q_log, c=x)
+
+
 def test_f_plus_g_is_x():
     for e in (1, 2, 3):
         pair = instantiate_standard(e)
