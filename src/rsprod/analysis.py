@@ -3,14 +3,14 @@ on the peeling core, the peeling erasure decoder, and the double-root
 structural check.
 
 Exhaustive enumeration runs the last row's coefficient over a set of
-values (all of F, or one worker's share) and every other coefficient over
-F.  The lowest digits are expanded once into a vectorized span block; each
-combination of the digits above it, a plain Cartesian product, XORs its
-scalar multiples of the generator rows into one partial codeword that is
-added to the whole block at once.  Every codeword is packed into m-bit
-lanes of as many uint64 words as it needs; a fixed four-operation SWAR
-test (Warren, Hacker's Delight, ch. 6) sets the top bit of each nonzero
-lane, and weights come from a popcount.
+values (all of F, or one per GF(q)*-orbit) and every other coefficient
+over F.  The lowest digits are expanded once into a vectorized span
+block; each combination of the digits above it, a plain Cartesian
+product, XORs its scalar multiples of the generator rows into one
+partial codeword that is added to the whole block at once.  Every
+codeword is packed into m-bit lanes of as many uint64 words as it needs;
+a fixed four-operation SWAR test (Warren, Hacker's Delight, ch. 6) sets
+the top bit of each nonzero lane, and weights come from a popcount.
 
 Every code here is invariant under the translations of its evaluation
 points, a group transitive on the coordinates, so a spectrum needs only the
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,11 +46,6 @@ from .field import FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
-# fewest enumerated words for which a worker pool starts: on 2 vCPUs 2^18
-# or 2^20 words take 8-13 ms serially and 29-38 ms with a 2-worker pool,
-# while 2^24 words gain a fifth with one packed word to a codeword and two
-# fifths with seven
-_POOL_MIN_WORDS = 1 << 21
 
 
 class BudgetExceeded(ValueError):
@@ -140,8 +133,7 @@ def _spectrum_over(
 ) -> np.ndarray:
     """Weight histogram of the words base + sum_i m_i rows[i], every m_i
     running over F except the last row's coefficient, which runs over
-    ``values`` (all of F by default); with no rows, of base alone.  A
-    worker's share of the span is this call on its share of F."""
+    ``values`` (all of F by default); with no rows, of base alone."""
     q = ctx.order
     packing = _pack_rows(ctx, length)
     words = packing["words"]
@@ -155,7 +147,7 @@ def _spectrum_over(
     ]
 
     # the lowest digits, at least one, are expanded into the block, the
-    # top digit (the values share) too when the whole span fits
+    # top digit (the given values) too when the whole span fits
     span = _pack(base.reshape(1, -1), packing).T
     n_block = 0
     while n_block < len(tables) and (
@@ -209,15 +201,7 @@ def _top_values(ctx: FieldCtx, scalings: int) -> list[tuple[np.ndarray, int]]:
     return [(reps, scalings), (np.zeros(1, dtype=np.int64), 1)]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, else the count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _slice_spectrum(
-    ctx: FieldCtx, rows: np.ndarray, workers: int = 1, scalings: int = 1
-) -> dict[int, int]:
+def _slice_spectrum(ctx: FieldCtx, rows: np.ndarray, scalings: int = 1) -> dict[int, int]:
     """Weight spectrum {w: A_w}, ascending, of the span of the linearly
     independent ``rows``, from the |F|^(k-1) words with c_0 = 1 alone.
 
@@ -238,12 +222,9 @@ def _slice_spectrum(
     runs over one value per orbit with weight q - 1 and over 0 with weight
     1 (see _top_values); with scalings = 1, or no other row, over F.
 
-    One count of the words enumerated drives the pool and the long-run
-    warning, a RuntimeWarning past DEFAULT_BUDGET of them.  ``workers`` is
-    an upper bound, capped at the usable CPUs: a pool starts only when at
-    least _POOL_MIN_WORDS words are enumerated, and each worker takes a
-    share of the last coefficient's weighted values, the zero share a job
-    of its own."""
+    The words enumerated are counted for the long-run warning, a
+    RuntimeWarning past DEFAULT_BUDGET of them.  Each group of weighted
+    values is one _spectrum_over call in this process."""
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         return {0: 1}
@@ -260,22 +241,10 @@ def _slice_spectrum(
     if enumerated > DEFAULT_BUDGET:
         msg = f"exhaustive enumeration of {enumerated} codewords; expect minutes of runtime"
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
-    workers = min(workers, _usable_cpus())
-    pooled = workers > 1 and enumerated >= _POOL_MIN_WORDS
-    shares = [
-        (part, weight)
+    counts = sum(
+        weight * _spectrum_over(ctx, others, length, base, values)
         for values, weight in top
-        for part in np.array_split(values, workers if pooled else 1)
-        if len(part)
-    ]
-    share = functools.partial(_spectrum_over, ctx, others, length, base)
-    jobs = [part for part, _ in shares]
-    if pooled:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(share, jobs))
-    else:
-        parts = list(map(share, jobs))
-    counts = sum(weight * hist for (_, weight), hist in zip(shares, parts))
+    )
     if counts[0]:
         raise AssertionError("a word with c_0 = 1 has weight 0")
     spectrum = {0: 1}
@@ -325,6 +294,9 @@ def exhaustive_distance(
     long-run warning reports.  The budget still bounds the whole message
     space |F|^k, so which codes count as in budget does not depend on the
     method; over it, BudgetExceeded lets callers fall back to sampling.
+
+    ``workers`` is accepted and ignored: the slice is enumerated in the
+    calling process.  The keyword stays until the benchmark stops passing it.
     """
     size = code.ctx.order ** code.k
     if size > budget:
@@ -335,7 +307,7 @@ def exhaustive_distance(
     # G[0], the constant, is the base; digit 1 goes last
     order = [0, *range(2, code.k), 1][: code.k]
     rows = code.G[order]
-    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, rows, workers, _scalings(code)))
+    spectrum = WeightSpectrum(_slice_spectrum(code.ctx, rows, _scalings(code)))
     return spectrum.min_nonzero_weight(), spectrum
 
 
@@ -394,9 +366,7 @@ def macwilliams_transform(counts: dict[int, int], n: int, q: int) -> dict[int, i
     return out
 
 
-def spectrum_via_dual(
-    code: CodeInstance, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> WeightSpectrum:
+def spectrum_via_dual(code: CodeInstance, budget: int = DEFAULT_BUDGET) -> WeightSpectrum:
     """Exact spectrum obtained by enumerating one translation slice of the
     dual code (see _slice_spectrum, which also warns on a long run) and
     transforming.  The budget bounds the whole dual, |F|^(n^2-k)."""
@@ -407,7 +377,7 @@ def spectrum_via_dual(
         raise BudgetExceeded(
             f"dual enumeration needs {size} words, over budget {budget}"
         )
-    dual_counts = _slice_spectrum(ctx, code.H, workers)
+    dual_counts = _slice_spectrum(ctx, code.H)
     primal = macwilliams_transform(dual_counts, code.length, ctx.order)
     expected = ctx.order ** code.k
     if sum(primal.values()) != expected:  # pragma: no cover

@@ -131,19 +131,19 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exact_spectrum(code, budget: int, workers: int):
+def _exact_spectrum(code, budget: int):
     """(method, spectrum) from enumerating the code when |F|^k is within
     the budget, else from its dual when |F|^(n^2-k) is; None when neither
     is.  Either route's long-run warning is silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            _, spectrum = analysis.exhaustive_distance(code, budget=budget, workers=workers)
+            _, spectrum = analysis.exhaustive_distance(code, budget=budget)
             return "exhaustive", spectrum
         except analysis.BudgetExceeded:
             pass
         try:
-            return "exhaustive-dual", analysis.spectrum_via_dual(code, budget=budget, workers=workers)
+            return "exhaustive-dual", analysis.spectrum_via_dual(code, budget=budget)
         except analysis.BudgetExceeded:
             return None
 
@@ -160,7 +160,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "k": args.k,
         "lower_bound": lower,
     }
-    found = _exact_spectrum(code, args.budget, args.threads)
+    found = _exact_spectrum(code, args.budget)
     if found is not None:
         method, spectrum = found
         d = spectrum.min_nonzero_weight()
@@ -243,7 +243,7 @@ def cmd_erasure_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_checks(args.level, threads=args.threads, seed=args.seed)
+    results = verify.run_checks(args.level, seed=args.seed)
     failed = [r for r in results if not r.ok]
     for r in results:
         line = f"[verify] {r.name}: {'PASS' if r.ok else 'FAIL'}"
@@ -282,11 +282,18 @@ def _q_log(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """--threads, --trials and --budget, checked at parsing: a count of at
-    least 1 (the worker count is further capped at the usable CPUs)."""
+    """--trials and --budget, checked at parsing: a count of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """--seed, checked at parsing: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -336,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(sp)
     sp.add_argument("--budget", type=_positive, default=analysis.DEFAULT_BUDGET)
     sp.add_argument("--trials", type=_positive, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive, default=analysis._usable_cpus())
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--spectrum", action="store_true", help="include the weight spectrum")
     sp.set_defaults(func=cmd_distance)
 
@@ -353,13 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int)
     sp.add_argument("--b", type=int)
     sp.add_argument("--trials", type=_positive, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_erasure_sim)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--level", choices=("fast", "full"), default="fast")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive, default=analysis._usable_cpus())
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("figure", help="bound curves in long CSV format")

@@ -149,7 +149,7 @@ def _check_bound_ordering(params) -> CheckResult:
     return CheckResult(f"bounds{list(params)}", True)
 
 
-def _check_distances(name: str, cases, threads: int) -> CheckResult:
+def _check_distances(name: str, cases) -> CheckResult:
     """Exhaustive distances of the (e, r, k) codes against the paper's
     closed form, bounds.exact_distance, at dimensions where it holds."""
     for e, r, k in cases:
@@ -157,9 +157,7 @@ def _check_distances(name: str, cases, threads: int) -> CheckResult:
         expected = bounds.exact_distance(code.n_frak, r, k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            d, _ = analysis.exhaustive_distance(
-                code, budget=code.ctx.order**k, workers=threads
-            )
+            d, _ = analysis.exhaustive_distance(code, budget=code.ctx.order**k)
         if d != expected:
             return CheckResult(
                 name,
@@ -211,7 +209,7 @@ def _check_peel_consistency(cases, rng, trials: int) -> CheckResult:
     return CheckResult(name, True)
 
 
-def run_checks(level: str = "fast", threads: int = 1, seed: int = 0) -> list[CheckResult]:
+def run_checks(level: str = "fast", seed: int = 0) -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     rng = np.random.default_rng(seed)
@@ -221,11 +219,11 @@ def run_checks(level: str = "fast", threads: int = 1, seed: int = 0) -> list[Che
         _check_diagram((1, 2), rng, per_r=10),
         _check_pair_structure((1, 2, 3)),
         _check_bound_ordering(((32, 8), (32, 16))),
-        _check_distances("distances(q=4,r=2)", SMALL_DISTANCES, threads=1),
+        _check_distances("distances(q=4,r=2)", SMALL_DISTANCES),
         _check_peel_consistency(((2, 2, 3),), rng, trials=50),
     ]
     if level == "full":
         results.append(_check_degree_oracle((3,)))
         results.append(_check_diagram((3,), rng, per_r=10))
-        results.append(_check_distances("heavy-parity-distances", HEAVY_PARITY_DISTANCES, threads))
+        results.append(_check_distances("heavy-parity-distances", HEAVY_PARITY_DISTANCES))
     return results

@@ -41,8 +41,6 @@ from rsprod.verify import (
 
 from reference import univariate_double_root_check
 
-WORKERS = 2
-
 
 @pytest.fixture(scope="session")
 def pairs():
@@ -60,9 +58,7 @@ def q4_exhaustive(pairs):
         code = build_code(pair, r, k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            d, spectrum = exhaustive_distance(
-                code, budget=budget or (1 << 28), workers=WORKERS if budget else 1
-            )
+            d, spectrum = exhaustive_distance(code, budget=budget or (1 << 28))
         out[(r, k)] = (d, spectrum)
     return out
 
@@ -209,7 +205,7 @@ def test_criterion_9_weight_spectra(pairs, q4_exhaustive):
     assert spectrum.counts[0] == 1 and spectrum.total == 16**4
     # (q, r) = (4, 3): exact spectrum through the dual code
     code = build_code(pairs[2], 3, 9)
-    spec9 = spectrum_via_dual(code, workers=WORKERS)
+    spec9 = spectrum_via_dual(code)
     nonzero = sorted(w for w in spec9.counts if w > 0)
     assert nonzero[0] == 4  # delta^2
     assert nonzero[1] == 6  # delta*(delta+1), delta = 2

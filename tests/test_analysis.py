@@ -3,7 +3,7 @@
 import dataclasses
 import functools
 import itertools
-import json
+import os
 import warnings
 
 import numpy as np
@@ -33,7 +33,6 @@ from rsprod.analysis import (
     strip_margin_mask,
 )
 from rsprod.bounds import exact_distance
-from rsprod.cli import build_parser, main
 from rsprod.codec import _log_differences, build_code, encode, in_code
 from rsprod.field import (
     FieldCtx,
@@ -116,21 +115,6 @@ def test_exhaustive_budget():
     code = build_code(pair, 3, 9)
     with pytest.raises(BudgetExceeded):
         exhaustive_distance(code, budget=2**28)
-
-
-def test_workers_agree_with_serial(pair_q4, monkeypatch):
-    # a one-word and a seven-word code, both against encoding every
-    # message; both slices are far below the real pool threshold
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    for code in (build_code(pair_q4, 2, 3), build_code(instantiate_standard(3), 2, 2)):
-        d1, s1 = exhaustive_distance(code)
-        d2, s2 = exhaustive_distance(code, workers=2)
-        assert d1 == d2 and s1.counts == s2.counts
-        brute = {}
-        for msg in itertools.product(range(code.ctx.order), repeat=code.k):
-            w = int(np.count_nonzero(encode(code, msg)))
-            brute[w] = brute.get(w, 0) + 1
-        assert s1.counts == brute
 
 
 def brute_histogram(ctx, rows, length, base, values=None):
@@ -221,88 +205,6 @@ def test_value_shares_sum_to_the_whole_span(m, length, nrows, monkeypatch):
         assert np.array_equal(sum(parts), whole)
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in
-    this process."""
-
-    seen: list = []
-
-    def __init__(self, max_workers):
-        SerialPool.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def usable_cpus(monkeypatch, count):
-    """Let the process run on ``count`` CPUs, whatever the machine has."""
-    affinity = set(range(count))
-    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-
-
-def test_workers_capped_at_cpu_count(pair_q4, monkeypatch, capsys):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "seen", [])
-    # the slice of (4, 2, 3) has 256 words, far below the real threshold
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    usable_cpus(monkeypatch, 3)
-    code = build_code(pair_q4, 2, 3)
-    _, serial = exhaustive_distance(code, workers=1)
-    assert SerialPool.seen == []
-    _, capped = exhaustive_distance(code, workers=64)
-    assert SerialPool.seen == [3] and capped.counts == serial.counts
-    assert main(["distance", "--q-log", "2", "--r", "2", "--k", "3", "--threads", "1000"]) == 0
-    assert SerialPool.seen == [3, 3]
-    assert json.loads(capsys.readouterr().out)["distance"] == serial.min_nonzero_weight()
-    # without an affinity set the CPU count caps, and an unknown one means
-    # one: no pool at all
-    monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    exhaustive_distance(code, workers=8)
-    assert SerialPool.seen == [3, 3, 2]
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
-    _, single = exhaustive_distance(code, workers=8)
-    assert SerialPool.seen == [3, 3, 2] and single.counts == serial.counts
-
-
-def test_one_usable_cpu_starts_no_pool(pair_q4, monkeypatch):
-    # two CPUs in the machine, one of them usable by this process
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "seen", [])
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    usable_cpus(monkeypatch, 1)
-    code = build_code(pair_q4, 2, 3)
-    _, spectrum = exhaustive_distance(code, workers=2)
-    assert SerialPool.seen == [] and spectrum.counts == full_spectrum(code.ctx, code.G)
-    assert build_parser().parse_args(["verify"]).threads == 1
-
-
-def test_pool_starts_at_the_threshold(pair_q4, monkeypatch):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "seen", [])
-    usable_cpus(monkeypatch, 2)
-    # a slice of 16^2 words, of which the orbits of digit 1 leave
-    # (5 + 1) * 16: its 15 nonzero values fall into 5 orbits of GF(4)*
-    code = build_code(pair_q4, 2, 3)
-    _, serial = exhaustive_distance(code)
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 97)
-    _, below = exhaustive_distance(code, workers=2)
-    assert SerialPool.seen == [] and below.counts == serial.counts
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 96)
-    _, at = exhaustive_distance(code, workers=2)
-    assert SerialPool.seen == [2] and at.counts == serial.counts
-    # one worker never starts a pool, however large the slice
-    exhaustive_distance(code, workers=1)
-    assert SerialPool.seen == [2]
-
-
 def test_sampled_distance(pair_q4):
     code = build_code(pair_q4, 2, 4)
     est = sampled_distance(code, 100_000, seed=1)
@@ -391,42 +293,47 @@ def test_codes_are_translation_invariant(name, r, k):
 
 
 @pytest.mark.parametrize(
-    "name,r,k,workers",
+    "name,r,k",
     [
         # one word: 16 cells of 4 bits; k = 1 enumerates the base alone
-        ("q4", 2, 1, 1), ("q4", 2, 3, 1), ("q4", 3, 4, 2),
+        ("q4", 2, 1), ("q4", 2, 3), ("q4", 3, 4),
         # seven words: 64 cells of 6 bits
-        ("q8", 2, 1, 2), ("q8", 2, 3, 1), ("q8", 2, 3, 2),
+        ("q8", 2, 1), ("q8", 2, 3),
         # 32 words of 8-bit cells, 171 words of 10-bit cells
-        ("q16", 2, 2, 1), ("q16", 2, 2, 2), ("q32", 2, 1, 1),
+        ("q16", 2, 2), ("q32", 2, 1),
         # evaluation sets that are proper subspaces of the field, the last
         # in three words of 10-bit cells
-        ("gf64", 3, 3, 1), ("gf256", 2, 2, 2), ("gf1024", 2, 2, 1), ("gf1024", 2, 2, 2),
-        # one value of digit 1 per GF(q)*-orbit, more orbits than workers
-        ("q4", 3, 5, 2), ("q4", 4, 4, 2), ("q8", 3, 3, 2), ("q16", 3, 2, 2),
+        ("gf64", 3, 3), ("gf256", 2, 2), ("gf1024", 2, 2),
+        # one value of digit 1 per GF(q)*-orbit
+        ("q4", 3, 5), ("q4", 4, 4), ("q8", 3, 3), ("q16", 3, 2),
     ],
 )
-def test_slice_spectrum_matches_full_enumeration(name, r, k, workers, monkeypatch):
-    # with two workers, every slice of two words or more goes to the pool
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    usable_cpus(monkeypatch, 2)
+def test_slice_spectrum_matches_full_enumeration(name, r, k):
     code = build_code(SLICE_PAIRS[name](), r, k)
-    d, spectrum = exhaustive_distance(code, workers=workers)
+    d, spectrum = exhaustive_distance(code)
     assert spectrum.counts == full_spectrum(code.ctx, code.G)
     assert list(spectrum.counts) == sorted(spectrum.counts)
     assert d == min(w for w in spectrum.counts if w)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_slice_spectrum_of_the_dual_matches_full_enumeration(
-    pair_q2, k, workers, monkeypatch
-):
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
+def test_slice_spectrum_of_the_dual_matches_full_enumeration(pair_q2, k):
     code = build_code(pair_q2, 2, k)
-    assert _slice_spectrum(code.ctx, code.H, workers) == full_spectrum(code.ctx, code.H)
-    via_dual = spectrum_via_dual(code, workers=workers)
+    assert _slice_spectrum(code.ctx, code.H) == full_spectrum(code.ctx, code.H)
+    via_dual = spectrum_via_dual(code)
     assert via_dual.counts == full_spectrum(code.ctx, code.G)
+
+
+def test_workers_keyword_is_ignored_and_starts_no_process(pair_q4, monkeypatch):
+    code = build_code(pair_q4, 3, 7)
+    _, serial = exhaustive_distance(code, workers=1)
+
+    def no_fork():
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _, spectrum = exhaustive_distance(code, workers=2)
+    assert spectrum.counts == serial.counts
 
 
 def test_slice_spectrum_guards():
@@ -514,28 +421,6 @@ def test_scalings_check_the_grading(pair_q4):
 @given(code=standard_codes((2, 3), max_messages=1 << 16))
 def test_orbit_spectrum_matches_full_enumeration(code):
     assert exhaustive_distance(code)[1].counts == full_spectrum(code.ctx, code.G)
-
-
-def test_workers_split_the_representatives_and_zero_is_a_job(pair_q2, pair_q4, monkeypatch):
-    jobs = []
-
-    class RecordingPool(SerialPool):
-        def map(self, fn, items):
-            jobs.append([list(values) for values in items])
-            return map(fn, jobs[-1])
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORDS", 2)
-    usable_cpus(monkeypatch, 2)
-    # GF(4)* leaves 5 orbits of the 15 nonzero values of digit 1
-    code = build_code(pair_q4, 2, 3)
-    exp = code.ctx._tables()[0]
-    _, spectrum = exhaustive_distance(code, workers=2)
-    assert jobs == [[list(exp[:3]), list(exp[3:5]), [0]]]
-    assert spectrum.counts == full_spectrum(code.ctx, code.G)
-    # at q = 2 the group is trivial: all of F, weight 1, in two shares
-    exhaustive_distance(build_code(pair_q2, 2, 3), workers=2)
-    assert jobs[1] == [[0, 1], [2, 3]]
 
 
 def test_orbit_weight_q_is_caught(pair_q4, monkeypatch):

@@ -282,7 +282,7 @@ c7079781e2225ba3f7bdbb0cc13f4ac29fe7fb2b625c3c6f205fcc0b6078a5c2 encode --q-log 
 aa1b56953b35b36f9c83177fd53edaf9d52f94e89d088af502a27b2b63a1e9da encode --q-log 3 --r 5 --k 20 --msg 1,2,3,4,5,6,7,8,9,a,b,c,d,e,f,10,11,12,13,3f
 7cf4988132592d61caec1b9d955d2b716e9849065c63d70ba2a605ac96f263e0 encode --q-log 5 --r 16 --k 80 --msg b,30,55,7a,9f,c4,e9,10e,133,158,17d,1a2,1c7,1ec,211,236,25b,280,2a5,2ca,2ef,314,339,35e,383,3a8,3cd,3f2,17,3c,61,86,ab,d0,f5,11a,13f,164,189,1ae,1d3,1f8,21d,242,267,28c,2b1,2d6,2fb,320,345,36a,38f,3b4,3d9,3fe,23,48,6d,92,b7,dc,101,126,14b,170,195,1ba,1df,204,229,24e,273,298,2bd,2e2,307,32c,351,376
 c7b55e3639a27414e23d0b37d1a1dbb7090f1b0e30454ef759f464552a656efa distance --q-log 2 --r 2 --k 4 --spectrum
-6859b91d24a44be72bf29853b3759274afcbeb1d21081fae667af98c8d2220e8 distance --q-log 2 --r 3 --k 8 --budget 4294967296 --threads 2 --spectrum
+6859b91d24a44be72bf29853b3759274afcbeb1d21081fae667af98c8d2220e8 distance --q-log 2 --r 3 --k 8 --budget 4294967296 --spectrum
 049d29eb53b771de80f4156049b4f28bb86adc18566dbcb926ad0fa58d5b0806 distance --q-log 3 --r 3 --k 4 --spectrum
 296e208b0860d10d334c8c7f9da5e95c21f1017b5b0d220911b2c9b19fe851c1 distance --q-log 4 --r 2 --k 3 --spectrum
 c185c1f7b6035535e33b8ecea73de9f06cac3ea26ce5cd5ef1a58747c88cef9f distance --q-log 5 --r 2 --k 2 --spectrum
@@ -390,22 +390,25 @@ FIELD_FLAGS = ("--q-log", "2", "--r", "2", "--k", "3")
 @pytest.mark.parametrize(
     "argv",
     [
-        ("distance", *FIELD_FLAGS, "--threads", "0"),
+        ("distance", *FIELD_FLAGS, "--seed", "-1"),
         ("distance", *FIELD_FLAGS, "--trials", "0"),
         ("erasure-sim", *FIELD_FLAGS, "--model", "uniform-p", "--p", "0.3", "--trials", "0"),
         ("erasure-sim", *FIELD_FLAGS, "--model", "fig1", "--a", "1", "--b", "1", "--trials", "-1"),
-        ("verify", "--threads", "0"),
+        ("verify", "--seed", "-1"),
         ("distance", *FIELD_FLAGS, "--budget", "-1"),
+        ("erasure-sim", *FIELD_FLAGS, "--model", "fig1", "--a", "1", "--b", "1", "--seed", "-1"),
     ],
 )
 def test_counts_below_one_rejected_at_parsing(capsys, argv):
+    # counts must be at least 1, and a seed, which numpy takes, at least 0
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     flag, value = argv[-2:]
+    least = 0 if flag == "--seed" else 1
     assert err.splitlines()[-1].endswith(
-        f"error: argument {flag}: must be at least 1, got {value}"
+        f"error: argument {flag}: must be at least {least}, got {value}"
     )
 
 
@@ -460,7 +463,7 @@ VERIFY_FAULTS = [
                  id="peel-decoder"),
     pytest.param(_peel_check(0), analysis, "erasure_recoverable", lambda out: True,
                  id="peel-stopping-set"),
-    pytest.param(lambda: verify._check_distances("d", verify.SMALL_DISTANCES, threads=1),
+    pytest.param(lambda: verify._check_distances("d", verify.SMALL_DISTANCES),
                  analysis, "exhaustive_distance", lambda out: (out[0] + 1, out[1]), id="distances"),
     pytest.param(lambda: verify._check_bound_ordering(((8, 4),)), bounds, "lower_opt",
                  lambda out: (out[0] + 1000, out[1]), id="bound-ordering"),
