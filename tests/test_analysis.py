@@ -293,35 +293,40 @@ def test_codes_are_translation_invariant(name, r, k):
 
 
 @pytest.mark.parametrize(
-    "name,r,k",
+    "name,r,k,workers",
     [
         # one word: 16 cells of 4 bits; k = 1 enumerates the base alone
-        ("q4", 2, 1), ("q4", 2, 3), ("q4", 3, 4),
+        ("q4", 2, 1, 1), ("q4", 2, 3, 1), ("q4", 3, 4, 2),
         # seven words: 64 cells of 6 bits
-        ("q8", 2, 1), ("q8", 2, 3),
+        ("q8", 2, 1, 2), ("q8", 2, 3, 1), ("q8", 2, 3, 2),
         # 32 words of 8-bit cells, 171 words of 10-bit cells
-        ("q16", 2, 2), ("q32", 2, 1),
+        ("q16", 2, 2, 1), ("q16", 2, 2, 2), ("q32", 2, 1, 1),
         # evaluation sets that are proper subspaces of the field, the last
         # in three words of 10-bit cells
-        ("gf64", 3, 3), ("gf256", 2, 2), ("gf1024", 2, 2),
+        ("gf64", 3, 3, 1), ("gf256", 2, 2, 2), ("gf1024", 2, 2, 1), ("gf1024", 2, 2, 2),
         # one value of digit 1 per GF(q)*-orbit
-        ("q4", 3, 5), ("q4", 4, 4), ("q8", 3, 3), ("q16", 3, 2),
+        ("q4", 3, 5, 2), ("q4", 4, 4, 2), ("q8", 3, 3, 2), ("q16", 3, 2, 2),
     ],
 )
-def test_slice_spectrum_matches_full_enumeration(name, r, k):
+def test_slice_spectrum_matches_full_enumeration(name, r, k, workers):
+    # workers= is accepted and ignored: every value gives the serial spectrum
     code = build_code(SLICE_PAIRS[name](), r, k)
-    d, spectrum = exhaustive_distance(code)
+    d, spectrum = exhaustive_distance(code, workers=workers)
     assert spectrum.counts == full_spectrum(code.ctx, code.G)
     assert list(spectrum.counts) == sorted(spectrum.counts)
     assert d == min(w for w in spectrum.counts if w)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_slice_spectrum_of_the_dual_matches_full_enumeration(pair_q2, k):
+def test_slice_spectrum_of_the_dual_matches_full_enumeration(pair_q2, k, workers):
     code = build_code(pair_q2, 2, k)
     assert _slice_spectrum(code.ctx, code.H) == full_spectrum(code.ctx, code.H)
     via_dual = spectrum_via_dual(code)
     assert via_dual.counts == full_spectrum(code.ctx, code.G)
+    # the primal slice, reached through the workers= keyword, agrees
+    _, primal = exhaustive_distance(code, workers=workers)
+    assert primal.counts == via_dual.counts
 
 
 def test_workers_keyword_is_ignored_and_starts_no_process(pair_q4, monkeypatch):
