@@ -42,7 +42,7 @@ from .codec import (
     encode,
     in_code,
 )
-from .field import FieldCtx, mat_mul, mat_rank, mat_solve
+from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
 _BLOCK_DIGITS_LIMIT = 1 << 16
@@ -412,98 +412,133 @@ def _solve_core(
     code: CodeInstance, core: np.ndarray, grid: Optional[np.ndarray] = None
 ) -> tuple[str, Optional[np.ndarray]]:
     """Solve for the cells of an erasure core (a bool grid) from the cells
-    outside it, on a side chosen from the core alone: the free cells of its
-    rows (see _solve_rows) when their number N = |core| - (n - r) rho, rho
-    the rows the core touches, is below k, and otherwise the k message
-    symbols of ``G[:, ~core]^T m = y``.  A core of more than n^2 - k cells
-    carries a nonzero codeword, so its solve only tells "multiple" from
-    "inconsistent"; it stays on the rows whatever N is, which costs less
-    than G and never builds it.
+    outside it, on a side chosen from the core alone.  With N =
+    |core| - (n - r) rho free row cells, rho the rows the core touches,
+    the unknowns are the k message symbols of ``G[:, ~core]^T m = y`` when
+    N >= k, and otherwise the free cells of r information lines (see
+    _solve_lines): rows or columns, whichever side has fewer, rows on a
+    tie.  A core of more than n^2 - k cells carries a nonzero codeword, so
+    its solve only tells "multiple" from "inconsistent"; it stays on the
+    lines whatever N is, which costs less than G and never builds it.
 
     With ``grid`` None only the status is computed, from one rank:
     "unique" iff no nonzero codeword lives on the core, else "multiple".
     With the known values in ``grid``, zero on the core, the status is
     mat_solve's, and unless it is "inconsistent" a completed grid comes
-    with it, the only one or one of several.  The row side never sees the
-    rows and columns outside the core, so its grid is a codeword only if
+    with it, the only one or one of several.  The line side reads only
+    some of the known cells, so its grid is a codeword only if
     codec.in_code says so."""
     n, r, k = code.n_frak, code.r, code.k
     counts = core.sum(axis=1)
-    rows = np.flatnonzero(counts)
     size = int(counts.sum())
-    if size - (n - r) * len(rows) < k or size > n * n - k:
-        return _solve_rows(code, core, rows, counts[rows], grid)
-    known = ~core.reshape(-1)
-    if grid is None:
-        return ("unique" if mat_rank(code.ctx, code.G[:, known].T) == k else "multiple"), None
-    status, msg = mat_solve(code.ctx, code.G[:, known].T, grid.reshape(-1)[known])
-    if status == "inconsistent":
-        return status, None
-    return status, encode(code, msg).reshape(n, n)
+    if size - (n - r) * np.count_nonzero(counts) >= k and size <= n * n - k:
+        known = ~core.reshape(-1)
+        if grid is None:
+            return ("unique" if mat_rank(code.ctx, code.G[:, known].T) == k else "multiple"), None
+        status, msg = mat_solve(code.ctx, code.G[:, known].T, grid.reshape(-1)[known])
+        if status == "inconsistent":
+            return status, None
+        return status, encode(code, msg).reshape(n, n)
+    # a side's unknowns are the free cells of its r lines with the fewest
+    # erasures, max(e - (n - r), 0) on a line of e: r (n - r) less than
+    # the sum of max(e, n - r) over those lines
+    erasures = np.array((counts, core.sum(axis=0)))
+    side = int(np.maximum(np.sort(erasures)[:, :r], n - r).sum(axis=1).argmin())
+    if side:
+        status, full = _solve_lines(code, core.T, erasures[1], 1, None if grid is None else grid.T)
+        return status, None if full is None else full.T
+    return _solve_lines(code, core, erasures[0], 0, grid)
 
 
-def _solve_rows(
+def _solve_lines(
     code: CodeInstance,
     core: np.ndarray,
-    rows: np.ndarray,
-    counts: np.ndarray,
+    erasures: np.ndarray,
+    side: int,
     grid: Optional[np.ndarray],
 ) -> tuple[str, Optional[np.ndarray]]:
-    """_solve_core on the core rows' own unknowns, without H or G; ``rows``
-    are the rows the core touches and ``counts`` their erased cells.
+    """_solve_core on r information lines, without H or G: the grid rows
+    when ``side`` is 0 and the grid columns when it is 1, with ``core``
+    and ``grid`` then handed in transposed, so that the lines are their
+    rows either way; ``erasures`` holds each row's erased cells e_i.
 
-    A core row i has e_i > n - r erased cells, so fewer than r known ones.
-    On it a codeword is the degree < r polynomial through r anchors, the
-    known cells and the first d_i = e_i - (n - r) erased ones, whose values
-    are free: the row is sum_a v_a L_a over its anchors, L_a the Lagrange
-    basis polynomial of anchor a on the row, and the unknowns are the
-    N = sum_i d_i free v_a.  A grid that is zero off the core is then a
-    codeword of C_k iff every column the core touches passes the n - r
-    column checks [P | I], where anchor a enters check (t, j) as
-    [P | I][t, i_a] L_a[j], and the corner passes Phi_C (see
-    CodeInstance.checks).  With known values, the checks of the grid
-    whose core rows run through their known anchors alone give the
-    right-hand side; the rows and columns outside the core are not checked
-    here."""
+    Any r rows of a word of the product code fix the others, as the
+    column code is MDS of dimension r (MacWilliams and Sloane, ch. 18):
+    row j is sum_a Lambda[a, j] W[R_a], Lambda the Lagrange basis of the
+    r rows R on the column points.  R is the r rows with the fewest
+    erasures.  On row R_a a word is the degree < r polynomial through r
+    anchors, the row's known cells first and then its erased ones, and
+    its values at the d_a = max(e_a - (n - r), 0) erased anchors are the
+    unknowns, N' = sum_a d_a <= N of them.  A core touches more than
+    n - r rows, so R holds every row outside it, and each other row is a
+    core row with fewer than r known cells.  The codewords of C_k that
+    vanish off the core are then the words built from R, zero at R's
+    known anchors, whose other rows vanish at their known cells and whose
+    corner passes Phi_C (see CodeInstance.checks); Phi_C reaches R's rows
+    through Lambda, as Phi_R[a, c, p] = sum_i Lambda[a, i] Phi_C[p, i, c]
+    over the corner rows i.
+
+    With known values the same equations take their right-hand side from
+    the word through R's known anchors, its unknowns at zero.  A row of R
+    outside the core is read at its r anchors only, so the completed word
+    is written back on the core's cells alone, and codec.in_code still
+    sees every received symbol."""
     ctx, n, r = code.ctx, code.n_frak, code.r
-    sub = core[rows]
-    anchored = ~sub | (np.cumsum(sub, axis=1) <= (counts - (n - r))[:, None])
-    anchors = np.nonzero(anchored)[1].reshape(len(rows), r)
-    # each basis polynomial is 1 at its own anchor and 0 at the row's others
-    bases = _anchor_bases(ctx, code._log_tables[0], anchors) * ~anchored[:, None, :]
-    bases.reshape(-1, n)[np.arange(len(rows) * r), anchors.reshape(-1)] = 1
-    # the free anchors' checks, those of the columns the core touches and
-    # then Phi_C; the anchors in the corner's rows come first
-    free = sub[anchored]
-    basis = bases.reshape(-1, n)[free]
-    at_rows = np.repeat(rows, r)[free]
-    in_corner = int(np.searchsorted(at_rows, r))
-    checks = np.hstack([code.checks[0], np.eye(n - r, dtype=np.int64)])
-    cols = np.flatnonzero(core.any(axis=0))
-    phi = code.checks[2].reshape(-1, r, r)
-    on_cols = ctx.mul_arr(checks[:, at_rows][:, None, :], basis[:, cols].T[None])
-    on_corner = np.zeros((len(phi), len(basis)), dtype=np.int64)
-    on_corner[:, :in_corner] = np.bitwise_xor.reduce(
-        ctx.mul_arr(phi[:, at_rows[:in_corner]], basis[:in_corner, :r]), axis=2
-    )
-    coef = np.concatenate([on_cols.reshape(-1, len(basis)), on_corner])
+    exp, log = ctx._tables()
+    order = np.argsort(erasures, kind="stable")
+    info, rest = order[:r], order[r:]
+    # anchors: the known cells, then the erased ones, r in all; those past
+    # a row's n - e_a known cells are its unknowns
+    anchors = np.argsort(core[info], axis=1, kind="stable")[:, :r]
+    pos = np.arange(r)
+    unknown = pos >= (n - erasures[info])[:, None]
+    # the rows' Lagrange bases and Lambda from one call, each on its own
+    # point set's block of the side's table (see CodeInstance._ld_blocks);
+    # a basis polynomial is then set to 1 at its own anchor and 0 at the
+    # row's others
+    both = _anchor_bases(ctx, code._ld_blocks[side], np.concatenate([anchors, info[None] + n]))
+    bases, lam = both[:-1, :, :n], both[-1, :, n:]
+    bases.transpose(0, 2, 1)[pos[:, None], anchors] = pos == pos[:, None]
+    basis = bases[unknown]
+    at = np.nonzero(unknown)[0]
+    # the other rows at their known cells
+    eq = ~core[rest]
+    eq_rows, eq_cells = np.nonzero(eq)
+    on_rows = ctx.mul_arr(lam[at[:, None], rest[eq_rows]], basis[:, eq_cells]).T
+    # Phi_R: Lambda is the identity on R's own rows, so a corner row in R
+    # brings its own row of Phi_C and only the corner rows outside R are
+    # mixed in, in blocks of checks that keep each gather near
+    # _BLOCK_ELEMS entries; Lambda's entries on R are not meaningful (see
+    # _anchor_bases) and are not read here
+    lphi = code._corner_logs[side]
+    mixed = rest[rest < r]
+    mix = log[lam[:, mixed]][:, :, None, None]
+    phi_r = exp[lphi[info]]
+    step = max(1, _BLOCK_ELEMS // max(1, r * mix.size))
+    for p in range(0, phi_r.shape[2], step):
+        phi_r[..., p : p + step] ^= np.bitwise_xor.reduce(
+            exp[mix + lphi[mixed, :, p : p + step]], axis=1
+        )
+    on_corner = np.bitwise_xor.reduce(ctx.mul_arr(phi_r[at], basis[:, :r, None]), axis=1).T
+    coef = np.concatenate([on_rows, on_corner])
     if grid is None:
         return ("unique" if mat_rank(ctx, coef) == len(basis) else "multiple"), None
 
-    # the core rows through their known anchors, the free ones at zero as
-    # the grid holds them: the free anchors must cancel this grid's checks
-    values = grid[rows][anchored].reshape(len(rows), 1, r)
-    full = grid.copy()
-    full[rows] = mat_mul(ctx, values, bases)[:, 0]
+    # the word through R's known anchors, the unknowns at zero as the grid
+    # holds them: the unknowns must make up the difference
+    lam[:, info] = pos == pos[:, None]
+    values = grid[info[:, None], anchors]
+    known = mat_mul(ctx, lam.T, mat_mul(ctx, values[:, None], bases)[:, 0])
     rhs = np.concatenate([
-        mat_mul(ctx, checks, full[:, cols]).reshape(-1),
-        mat_mul(ctx, phi.reshape(len(phi), r * r), full[:r, :r].reshape(-1, 1))[:, 0],
+        (grid[rest] ^ known[rest])[eq],
+        np.bitwise_xor.reduce(exp[lphi[:r] + log[known[:r, :r, None]]], axis=(0, 1)),
     ])
     status, x = mat_solve(ctx, coef, rhs)
     if status == "inconsistent":
         return status, None
-    values.reshape(-1)[free] = x
-    full[rows] = mat_mul(ctx, values, bases)[:, 0]
+    values[unknown] = x
+    full = grid.copy()
+    full[core] = mat_mul(ctx, lam.T, mat_mul(ctx, values[:, None], bases)[:, 0])[core]
     return status, full
 
 
@@ -515,10 +550,14 @@ def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
     since each line is a Reed-Solomon word of dimension r, so it lies inside
     the peeling core E' of the mask alone; hence E is recoverable iff E' is.
     E' empty is recoverable and |E'| > n^2 - k is not; otherwise one rank
-    decides (see _solve_core): on the free cells of the core's rows,
-    N = |E'| - (n - r) rho unknowns for rho rows, when N < k, and on
-    G[:, ~E'] when not.  No verdict builds H, and none builds G while
-    N < k; an over-size core is refused before any solve."""
+    decides (see _solve_core).  With N = |E'| - (n - r) rho free row cells
+    for the rho rows the core touches, it is taken on G[:, ~E'] when
+    N >= k, and otherwise on the free cells of r information lines, rows
+    or columns, whichever side has fewer: a word of the product code is
+    fixed by any r of its rows, so the other rows only have to vanish at
+    their known cells (see _solve_lines).  No verdict builds H, and none
+    builds G while N < k; an over-size core is refused before any
+    solve."""
     if mask.n_frak != code.n_frak:
         raise ValueError("mask size does not match the code")
     core = _peel_core(mask.erased, code.r)
@@ -589,12 +628,14 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     _fill_lines), all rows of a pass at once and then all columns, unless
     the rows left nothing erased.  What peeling leaves is the peeling core
     E' of the mask, and a global solve in its cells finishes it off, on the
-    free cells of the core's rows or on the generator (see _solve_core); a
-    core of more than n^2 - k cells, which cannot be unique, is solved on
-    its rows only to tell an ambiguous core from inconsistent symbols.  The
-    completed grid, whether peeling filled it alone or the solve did, must
-    pass codec.in_code, which checks the lines that neither peeling nor the
-    row solve saw.  A word of the wrong length, a known symbol that is no
+    free cells of r information lines or on the generator (see
+    _solve_core), with the right-hand side from the known cells; a core of
+    more than n^2 - k cells, which cannot be unique, is solved on its lines
+    only to tell an ambiguous core from inconsistent symbols.  The solve
+    writes back the core's cells alone, and the completed grid, whether
+    peeling filled it alone or the solve did, must pass codec.in_code,
+    which checks the received symbols that neither peeling nor the line
+    solve read.  A word of the wrong length, a known symbol that is no
     element of the field (not an integer, or out of range), and known
     symbols that fit no codeword raise ValueError; an ambiguous core returns
     no word and E' as the residual."""
@@ -624,8 +665,8 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     status = "unique"
     if used_global:
         status, grid = _solve_core(code, erased, grid)
-    # lines without an erasure were never checked, nor were those outside
-    # the core by the row solve
+    # lines without an erasure were never checked, and the line solve
+    # reads a line outside the core at r of its cells only
     if status == "inconsistent" or not in_code(code, grid):
         raise ValueError("surviving symbols are not consistent with any codeword")
     if status == "unique":

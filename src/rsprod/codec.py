@@ -30,8 +30,9 @@ class CodeInstance:
     S[l] is the r x r coefficient matrix of basis polynomial l in the
     products g^a f^b (see build_code).  Everything else is derived from S
     and the pair on first use and kept: the k x n^2 generator G, the
-    checks (P, Q, Phi_C) that in_code, the row-side erasure solve and the
-    parity checks H read, and the log-difference tables of line repair."""
+    checks (P, Q, Phi_C) that in_code and the parity checks H read, Phi_C's
+    logarithms for the line-side erasure solve, and the log-difference
+    tables of line repair and of that solve."""
 
     pair: LinearizedPair
     r: int
@@ -57,7 +58,7 @@ class CodeInstance:
         polynomial l (see build_code) flattened in the i*n + j order.
         Built on first use and kept: export, enumeration, sampling, the
         message-side solve of a large erasure core and the rank reference
-        read it, while encoding, H and the row-side erasure solve do not."""
+        read it, while encoding, H and the line-side erasure solve do not."""
         return _grid_values(self, self.S).reshape(self.k, self.length)
 
     @functools.cached_property
@@ -78,8 +79,9 @@ class CodeInstance:
 
     @functools.cached_property
     def checks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P, Q, Phi_C): the checks of C_k that in_code, the row-side
-        erasure solve and H read.  Built on first use and kept.
+        """(P, Q, Phi_C): the checks of C_k that in_code and H read, and
+        whose Phi_C the line-side erasure solve reads through _corner_logs.
+        Built on first use and kept.
 
         A grid A^T . M . B (see build_code) has the corner
         C = A_r^T . M . B_r, with A_r, B_r the first r columns of A and B,
@@ -112,6 +114,40 @@ class CodeInstance:
         return (
             _log_differences(self.ctx, self.pair.Zg),
             _log_differences(self.ctx, self.pair.Zf),
+        )
+
+    @functools.cached_property
+    def _ld_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns): (2n, 2n) tables for the erasure solve on grid
+        rows and on grid columns, with the _log_tables of the lines' own
+        points and of the points across them as the diagonal blocks, in
+        that order, and zeros between.  _anchor_bases on one takes lines
+        anchored on either point set in one call: all of a line's anchors
+        lie in one block, and its entries there are those of the block's
+        own table.  Built on first use and kept."""
+        n = self.n_frak
+        out = []
+        for own, across in (self._log_tables, self._log_tables[::-1]):
+            table = np.zeros((2 * n, 2 * n), dtype=np.int64)
+            table[:n, :n], table[n:, n:] = own, across
+            out.append(table)
+        return tuple(out)
+
+    @functools.cached_property
+    def _corner_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns): log Phi_C on the tables' zero sentinel (see
+        FieldCtx._tables), laid out for the erasure solve on grid rows and
+        on grid columns as (n, r, checks) arrays.  Entry [i, c, p] of the
+        first and [c, i, p] of the second is check p's coefficient on
+        corner cell (i, c), the line first and the position along it next;
+        the lines from r on hold log 0.  Built on first use and kept."""
+        n, r = self.n_frak, self.r
+        _, log = self.ctx._tables()
+        phi = log[self.checks[2].reshape(-1, r, r)]
+        pad = ((0, n - r), (0, 0), (0, 0))
+        return tuple(
+            np.pad(phi.transpose(axes), pad, constant_values=log[0])
+            for axes in ((1, 2, 0), (2, 1, 0))
         )
 
     @functools.cached_property

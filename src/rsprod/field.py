@@ -481,10 +481,13 @@ def mat_rref(ctx: FieldCtx, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def mat_rank(ctx: FieldCtx, a: np.ndarray) -> int:
     """Rank, from a row echelon form: the pivots of the reduced form are
-    the same columns, so nothing above a pivot needs clearing."""
+    the same columns, so nothing above a pivot needs clearing.  A single
+    column has rank 1 iff it is nonzero, which takes no elimination."""
     r = np.array(a, dtype=np.int64, copy=True)
     if r.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if r.shape[1] == 1:
+        return int(r.any())
     return len(_row_reduce(ctx, r, full=False))
 
 

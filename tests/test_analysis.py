@@ -812,9 +812,9 @@ def test_peel_mismatch_first_seen_in_column_pass(pair_q4):
 # ---------------------------------------------------------------------------
 
 # (e, r, k): the cores' free row cells N (see analysis._solve_core) land
-# below k (the row route) and at or above it (the generator route) across
+# below k (the line side) and at or above it (the generator route) across
 # these codes; at (16, 12, 132) and (16, 12, 143) every core small enough to
-# be recoverable takes the row route, since N <= |E'| <= n^2 - k < k
+# be recoverable takes the line side, since N <= |E'| <= n^2 - k < k
 ORACLE_CASES = [(2, 2, 3), (2, 3, 7), (3, 3, 4), (3, 5, 20), (4, 12, 132), (4, 12, 143)]
 
 
@@ -849,7 +849,7 @@ def route_boundary_masks(draw, n, r, k):
     """An a x b block of erasures on random rows and columns, its own
     peeling core since a, b > n - r, with N = a (b - (n - r)) free row cells
     among the nearest to k from below and from above: both sides of the
-    choice between the row route and the generator route.  Up to two
+    choice between the line side and the generator route.  Up to two
     cells of the block may survive."""
     d = n - r
     sizes = [(a, b) for a in range(d + 1, n + 1) for b in range(d + 1, n + 1)]
@@ -896,6 +896,39 @@ def test_structural_oracle_matches_rank(e, r, k, data):
     assert erasure_recoverable(code, mask) == _rank_recoverable(code, mask)
 
 
+def assert_decodes_as_the_generator(code, mask, msg, cell, error):
+    """peel_decode on the word of ``msg`` against the solve on all of
+    G[:, survivors]: its word or its residual, the peeling core, and then
+    with ``error`` added at the surviving ``cell``, if any survives.  One
+    wrong known symbol must raise exactly when no codeword fits the
+    survivors, whether peeling, the core's solve or in_code finds it;
+    otherwise the decoder returns the codeword that fits, if only one
+    does."""
+    ctx = code.ctx
+    word = encode(code, msg)
+    core = _peel_core(mask.erased, code.r)
+    res = peel_decode(code, word, mask)
+    assert res.used_global == core.any()
+    if res.ok:
+        assert np.array_equal(res.word, word)
+    else:
+        assert np.array_equal(res.residual.erased, core)
+    surv = ~mask.flat()
+    assert res.ok == (mat_solve(ctx, code.G[:, surv].T, word[surv])[0] == "unique")
+    if not surv.any():
+        return
+    bad = word.copy()
+    bad[np.flatnonzero(surv)[cell % surv.sum()]] ^= error
+    status, fit = mat_solve(ctx, code.G[:, surv].T, bad[surv])
+    if status == "inconsistent":
+        with pytest.raises(ValueError, match="interpolation mismatch|not consistent"):
+            peel_decode(code, bad, mask)
+    else:
+        res = peel_decode(code, bad, mask)
+        assert res.ok == (status == "unique")
+        assert np.array_equal(res.word, encode(code, fit)) if res.ok else res.residual.erased.any()
+
+
 @pytest.mark.parametrize("e,r,k", [(2, 3, 7), (3, 5, 20), (4, 12, 132), (4, 12, 143)])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -904,41 +937,19 @@ def test_peel_residual_is_mask_core(e, r, k, data):
     ctx = code.ctx
     mask = data.draw(erasure_masks(code))
     msg = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=k, max_size=k))
-    word = encode(code, msg)
-    core = _peel_core(mask.erased, r)
-    res = peel_decode(code, word, mask)
-    assert res.used_global == core.any()
-    if res.ok:
-        assert np.array_equal(res.word, word)
-    else:
-        assert np.array_equal(res.residual.erased, core)
-    # the global fallback against the solve on all survivors
-    surv = ~mask.flat()
-    assert res.ok == (mat_solve(ctx, code.G[:, surv].T, word[surv])[0] == "unique")
-    # one wrong known symbol raises exactly when no codeword fits the
-    # survivors, whether peeling, the core's solve or in_code finds it;
-    # otherwise the decoder returns the codeword that fits, if only one does
-    if surv.any():
-        bad = word.copy()
-        cell = data.draw(st.sampled_from(np.flatnonzero(surv).tolist()), label="cell")
-        bad[cell] ^= data.draw(st.integers(1, ctx.order - 1), label="error")
-        status, msg = mat_solve(ctx, code.G[:, surv].T, bad[surv])
-        if status == "inconsistent":
-            with pytest.raises(ValueError, match="interpolation mismatch|not consistent"):
-                peel_decode(code, bad, mask)
-        else:
-            res = peel_decode(code, bad, mask)
-            assert res.ok == (status == "unique")
-            assert np.array_equal(res.word, encode(code, msg)) if res.ok else res.residual.erased.any()
+    cell = data.draw(st.integers(0, code.length - 1), label="cell")
+    error = data.draw(st.integers(1, ctx.order - 1), label="error")
+    assert_decodes_as_the_generator(code, mask, msg, cell, error)
 
 
 @pytest.mark.parametrize("block", [6, 13])
 def test_row_solve_leaves_the_lines_outside_the_core_to_in_code(block):
-    # a block x block block at (16, 12, 132) is its own core, and the row
-    # route takes it (N = 6 * 2 or 13 * 9 < k): the 6 x 6 core is
+    # a block x block block at (16, 12, 132) is its own core, and the line
+    # side takes it (N = 6 * 2 or 13 * 9 < k): the 6 x 6 core is
     # recoverable and the 13 x 13 one is not.  Cell (15, 15) lies on a row
-    # and a column that carry no erasure, so neither peeling nor the row
-    # solve sees it, and only the final in_code finds a wrong symbol there.
+    # and a column that carry no erasure, so peeling never reads it, and
+    # the line solve reads row 15, one of its r information rows, at its
+    # first r cells only: only the final in_code finds a wrong symbol there.
     code = cached_code(4, 12, 132)
     n = code.n_frak
     er = np.zeros((n, n), dtype=bool)
@@ -983,7 +994,7 @@ def test_row_route_matches_the_parity_check_route_at_n32():
 def test_over_size_cores_are_solved_on_the_rows_at_n32():
     # at p = 0.85 the core is larger than n^2 - k = 449, so the decode only
     # tells an ambiguous core from inconsistent symbols, and it does so on
-    # the core's rows although N >= k there: G is never built.  Row 5
+    # the core's lines although N >= k there: G is never built.  Row 5
     # survives whole, so a wrong symbol on it fits no codeword, while one
     # elsewhere leaves the core ambiguous.
     code = build_code(instantiate_standard(5), 24, 575)
@@ -1020,6 +1031,136 @@ def test_over_size_cores_are_solved_on_the_rows_at_n32():
     assert raised == [True, False]
 
 
+# codes at the edges of the line solve: r = n, where every row is an
+# information line, r = 1, k = r^2, where the corner has no checks, and k = 1
+EDGE_CASES = [(2, 4, 10), (3, 1, 1), (3, 5, 25), (2, 3, 1)]
+
+
+@st.composite
+def oblong_block_masks(draw, n, r):
+    """An a x b block of erasures with a != b on random rows and columns,
+    b within two of its least size above n - r so that it is a core, and
+    up to four of its cells surviving, one to a row and a column; united
+    with uniform noise, or the transpose of all that.  Once the survivors
+    outnumber b - (n - r), the core's rows hold fewer unknowns on their
+    information lines than its columns, or more when transposed."""
+    low = n - r + 1 if r > 1 else 1
+    b = draw(st.integers(low, min(n, low + 2)))
+    a = draw(st.integers(low, n).filter(lambda a: a != b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.choice(n, a, replace=False), rng.choice(n, b, replace=False)
+    er = np.zeros((n, n), dtype=bool)
+    er[np.ix_(rows, cols)] = True
+    survive = draw(st.integers(0, min(4, a, b)))
+    er[rows[:survive], cols[:survive]] = False
+    er |= rng.random((n, n)) < draw(st.floats(0.0, 0.3))
+    return ErasureMask(n, er.T if draw(st.booleans()) else er)
+
+
+class LineSystems:
+    """Records (side, unknowns) of every rank that analysis takes on the
+    lines of a core, side 0 for rows and 1 for columns."""
+
+    def __init__(self, patch):
+        self.seen = []
+        pending = []
+        solve_lines, rank = analysis._solve_lines, analysis.mat_rank
+
+        def spy_lines(code, core, erasures, side, grid):
+            pending.append(side)
+            return solve_lines(code, core, erasures, side, grid)
+
+        def spy_rank(ctx, a):
+            if pending:
+                self.seen.append((pending.pop(), np.shape(a)[1]))
+            return rank(ctx, a)
+
+        patch.setattr(analysis, "_solve_lines", spy_lines)
+        patch.setattr(analysis, "mat_rank", spy_rank)
+
+
+def free_row_cells(core, r):
+    """N = |E'| - (n - r) rho for the rho rows the core touches."""
+    return int(core.sum()) - (len(core) - r) * int(core.any(axis=1).sum())
+
+
+@pytest.mark.parametrize("e,r,k", ORACLE_CASES + EDGE_CASES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_line_solve_agrees_with_the_generator(e, r, k, data):
+    # the solve on r information lines against the rank and the solve on
+    # all of G[:, survivors], on rows and on columns: the verdict, the
+    # decode, a wrong known symbol, and a completed grid that keeps every
+    # known cell; each line system has at most the core's N free row cells
+    code = cached_code(e, r, k)
+    ctx = code.ctx
+    mask = data.draw(oblong_block_masks(code.n_frak, r))
+    core = _peel_core(mask.erased, r)
+    with pytest.MonkeyPatch.context() as patch:
+        systems = LineSystems(patch)
+        verdict = erasure_recoverable(code, mask)
+    assert verdict == _rank_recoverable(code, mask)
+    assert all(unknowns <= free_row_cells(core, r) for _, unknowns in systems.seen)
+    msg = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=k, max_size=k))
+    cell = data.draw(st.integers(0, code.length - 1), label="cell")
+    error = data.draw(st.integers(1, ctx.order - 1), label="error")
+    assert_decodes_as_the_generator(code, mask, msg, cell, error)
+    if core.any():
+        grid = encode(code, msg).reshape(code.n_frak, code.n_frak)
+        status, full = analysis._solve_core(code, core, np.where(core, 0, grid))
+        assert status == ("unique" if verdict else "multiple")
+        assert np.array_equal(full[~core], grid[~core]) and in_code(code, full)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_line_solve_takes_the_side_with_fewer_unknowns(transpose):
+    # a 13 x 6 block at (16, 12, 132) with its cells (0, 0), (1, 1) and
+    # (2, 2) surviving is its own core.  Its rows hold 3 * 1 + 6 * 2 = 15
+    # unknowns on their information lines (the 3 rows outside the core and
+    # the 9 with the fewest erasures), its columns 2 * 8 = 16, so the rows
+    # take it, and the columns take the transposed mask.
+    code = cached_code(4, 12, 132)
+    n = code.n_frak
+    er = np.zeros((n, n), dtype=bool)
+    er[:13, :6] = True
+    er[[0, 1, 2], [0, 1, 2]] = False
+    mask = ErasureMask(n, er.T if transpose else er)
+    with pytest.MonkeyPatch.context() as patch:
+        systems = LineSystems(patch)
+        verdict = erasure_recoverable(code, mask)
+    assert systems.seen == [(int(transpose), 15)]
+    assert verdict == _rank_recoverable(code, mask)
+    assert_decodes_as_the_generator(code, mask, np.arange(code.k) % code.ctx.order, 0, 1)
+
+
+@pytest.mark.parametrize("e,r,k", EDGE_CASES)
+def test_line_solve_of_a_fully_erased_grid(e, r, k):
+    # n^2 > n^2 - k erasures: the decode solves the whole grid on its
+    # lines, with no other row to read at r = n and a single information
+    # row at r = 1, and finds it ambiguous without building G
+    code = build_code(instantiate_standard(e), r, k)
+    n = code.n_frak
+    mask = ErasureMask(n, np.ones((n, n), dtype=bool))
+    word = encode(code, np.arange(k) % code.ctx.order)
+    res = peel_decode(code, word, mask)
+    assert res.used_global and not res.ok and res.residual.erased.all()
+    assert "G" not in vars(code)
+
+
+def test_line_systems_of_the_stopping_sets():
+    # the Fig. 2 and Fig. 1 stopping sets at (16, 12, 132): 13 and 16
+    # unknowns on r information lines, where the free cells of all the
+    # core's rows are N = 57 and 32
+    code = cached_code(4, 12, 132)
+    masks = [strip_margin_mask(16, 12, 5, 6), block_margin_mask(16, 12, 4, 4)]
+    for mask, unknowns, free in zip(masks, (13, 16), (57, 32)):
+        with pytest.MonkeyPatch.context() as patch:
+            systems = LineSystems(patch)
+            assert not erasure_recoverable(code, mask)
+        assert [count for _, count in systems.seen] == [unknowns]
+        assert free_row_cells(_peel_core(mask.erased, code.r), code.r) == free
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.sampled_from([4, 8, 16]), data=st.data())
 def test_peel_core_is_order_independent(n, data):
@@ -1041,7 +1182,7 @@ def test_peel_core_of_block_margin_is_black_block():
                                         (3, 3, 4, 6)])
 def test_structural_oracle_on_blocks_both_sides(e, r, k, side):
     # a side x side block is its own core with N = side (side - (n - r))
-    # free row cells; the row route takes N < k, that is sides 4, 5 and 6
+    # free row cells; the line side takes N < k, that is sides 4, 5 and 6
     # at (8, 5, 20) and 5 and 12 at (16, 12, 132), and the generator route
     # N >= k, side 3 at (4, 2, 3) and side 6 at (8, 3, 4)
     code = cached_code(e, r, k)

@@ -410,6 +410,13 @@ def test_mat_rank_and_nullspace():
         assert prod == [0, 0, 0, 0]
 
 
+def test_mat_rank_of_a_single_column():
+    ctx = FieldCtx(4)
+    for column, rank in (([0, 0, 7], 1), ([0, 0, 0], 0), ([], 0)):
+        col = np.array(column, dtype=np.int64).reshape(-1, 1)
+        assert mat_rank(ctx, col) == rank == len(mat_rref(ctx, col)[1])
+
+
 def test_mat_solve_statuses():
     ctx = FieldCtx(4)
     a = np.array([[1, 2], [3, 4]], dtype=np.int64)
