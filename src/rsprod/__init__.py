@@ -36,8 +36,8 @@ from .codec import (
     encode,
     export_generator_csv,
 )
-from .degrees import DegreeProfile, degree_profile, ref_basis, ref_degree_oracle
-from .field import FieldCtx, poly_compose
+from .degrees import DegreeProfile, degree_profile, ref_basis
+from .field import FieldCtx
 from .linearized import (
     LinearizedPair,
     LinearizedPoly,
@@ -79,10 +79,8 @@ __all__ = [
     "lrc_upper",
     "macwilliams_transform",
     "peel_decode",
-    "poly_compose",
     "profile_lower",
     "ref_basis",
-    "ref_degree_oracle",
     "root_space",
     "rs_degree_lower",
     "sampled_distance",

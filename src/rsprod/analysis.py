@@ -298,10 +298,10 @@ def exhaustive_distance(
     ``workers`` is accepted and ignored: the slice is enumerated in the
     calling process.  The keyword stays until the benchmark stops passing it.
     """
-    size = code.ctx.order ** code.k
-    if size > budget:
+    if code.ctx.order ** code.k > budget:
+        # as a power: str() of an int past 4300 digits raises ValueError
         raise BudgetExceeded(
-            f"budget exceeded: |F|^k = {size} > {budget}; "
+            f"budget exceeded: |F|^k = {code.ctx.order}^{code.k} > {budget}; "
             "raise the budget or fall back to sampled_distance"
         )
     # G[0], the constant, is the base; digit 1 goes last
@@ -312,20 +312,24 @@ def exhaustive_distance(
 
 
 def sampled_distance(code: CodeInstance, trials: int, seed: int = 0) -> int:
-    """Minimum weight over random nonzero messages: an upper estimate."""
+    """Minimum weight over random nonzero messages: an upper estimate.
+
+    Messages are drawn in batches of 2^14, and their words are the grids of
+    their message matrices (see codec._grid_values), as encode forms them,
+    taken in slices of at most _BLOCK_ELEMS symbols; G is not built."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     best = code.length
+    step = max(1, _BLOCK_ELEMS // code.length)
     done = 0
     while done < trials:
         batch = min(trials - done, 1 << 14)
         msgs = rng.integers(0, code.ctx.order, size=(batch, code.k), dtype=np.int64)
         msgs = msgs[np.any(msgs != 0, axis=1)]
-        if len(msgs) == 0:
-            continue
-        words = mat_mul(code.ctx, msgs, code.G)
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        for lo in range(0, len(msgs), step):
+            words = _grid_values(code, _message_matrix(code, msgs[lo : lo + step]))
+            best = min(best, int(np.count_nonzero(words, axis=(1, 2)).min()))
         done += len(msgs)
     return best
 
@@ -372,10 +376,10 @@ def spectrum_via_dual(code: CodeInstance, budget: int = DEFAULT_BUDGET) -> Weigh
     transforming.  The budget bounds the whole dual, |F|^(n^2-k)."""
     ctx = code.ctx
     # H has n^2 - k rows; it is not built for a dual over budget
-    size = ctx.order ** (code.length - code.k)
-    if size > budget:
+    if ctx.order ** (code.length - code.k) > budget:
         raise BudgetExceeded(
-            f"dual enumeration needs {size} words, over budget {budget}"
+            f"dual enumeration needs {ctx.order}^{code.length - code.k} words, "
+            f"over budget {budget}"
         )
     dual_counts = _slice_spectrum(ctx, code.H)
     primal = macwilliams_transform(dual_counts, code.length, ctx.order)
@@ -595,9 +599,10 @@ def _fill_lines(
     ctx: FieldCtx, r: int, ld: np.ndarray, lines: np.ndarray, erased: np.ndarray
 ) -> bool:
     """One pass of local repair over the rows of ``lines`` (values on the
-    point set of ``ld``), in place: every line with an erasure and at least
-    r survivors is interpolated through its first r survivors, its anchors,
-    and predicted at its n - r other cells (see codec._line_predictions).
+    first n points of ``ld``), in place: every line with an erasure and at
+    least r survivors is interpolated through its first r survivors, its
+    anchors, and predicted at its n - r other cells (see
+    codec._line_predictions).
     The lines of a pass are independent, so they are filled at once.  A
     known symbol off the prediction raises ValueError; returns whether any
     line was filled."""
@@ -655,7 +660,7 @@ def peel_decode(code: CodeInstance, word, mask: ErasureMask) -> PeelResult:
     if (grid >> ctx.extension_degree).any():
         raise ValueError(outside)
     # grid rows live on Zg and grid columns on Zf
-    ld_rows, ld_cols = code._log_tables
+    ld_rows, ld_cols = code._ld_blocks
     progress = True
     while progress and erased.any():
         progress = _fill_lines(ctx, code.r, ld_rows, grid, erased)

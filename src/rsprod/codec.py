@@ -32,7 +32,7 @@ class CodeInstance:
     and the pair on first use and kept: the k x n^2 generator G, the
     checks (P, Q, Phi_C) that in_code and the parity checks H read, Phi_C's
     logarithms for the line-side erasure solve, and the log-difference
-    tables of line repair and of that solve."""
+    tables that line repair and that solve share."""
 
     pair: LinearizedPair
     r: int
@@ -56,9 +56,9 @@ class CodeInstance:
     def G(self) -> np.ndarray:
         """Generator, k x n^2: G[l] is the grid A^T . S_l . B of basis
         polynomial l (see build_code) flattened in the i*n + j order.
-        Built on first use and kept: export, enumeration, sampling, the
-        message-side solve of a large erasure core and the rank reference
-        read it, while encoding, H and the line-side erasure solve do not."""
+        Built on first use and kept: export, enumeration, the message-side
+        solve of a large erasure core and the rank reference read it, while
+        encoding, sampling, H and the line-side erasure solve do not."""
         return _grid_values(self, self.S).reshape(self.k, self.length)
 
     @functools.cached_property
@@ -107,27 +107,19 @@ class CodeInstance:
         return p, q, phi_c
 
     @functools.cached_property
-    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns): the _log_differences tables of the grid rows'
-        points Zg and the grid columns' points Zf.  Built on first use and
-        kept."""
-        return (
-            _log_differences(self.ctx, self.pair.Zg),
-            _log_differences(self.ctx, self.pair.Zf),
-        )
-
-    @functools.cached_property
     def _ld_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns): (2n, 2n) tables for the erasure solve on grid
-        rows and on grid columns, with the _log_tables of the lines' own
-        points and of the points across them as the diagonal blocks, in
-        that order, and zeros between.  _anchor_bases on one takes lines
-        anchored on either point set in one call: all of a line's anchors
-        lie in one block, and its entries there are those of the block's
-        own table.  Built on first use and kept."""
+        """(rows, columns): (2n, 2n) tables for line repair and the erasure
+        solve on grid rows and on grid columns, with the _log_differences
+        tables of the lines' own points (Zg for rows, Zf for columns) and of
+        the points across them as the diagonal blocks, in that order, and
+        zeros between.  _line_predictions reads the first block alone, and
+        _anchor_bases on one takes lines anchored on either point set in one
+        call: all of a line's anchors lie in one block, and its entries there
+        are those of the block's own table.  Built on first use and kept."""
         n = self.n_frak
+        tables = [_log_differences(self.ctx, pts) for pts in (self.pair.Zg, self.pair.Zf)]
         out = []
-        for own, across in (self._log_tables, self._log_tables[::-1]):
+        for own, across in (tables, tables[::-1]):
             table = np.zeros((2 * n, 2 * n), dtype=np.int64)
             table[:n, :n], table[n:, n:] = own, across
             out.append(table)
@@ -180,16 +172,22 @@ def _grid_values(code: CodeInstance, s: np.ndarray) -> np.ndarray:
 
 
 def _message_matrix(code: CodeInstance, msg: np.ndarray) -> np.ndarray:
-    """M = sum_l msg[l] S_l for an int64 message of field elements, from
-    the nonzero entries of S alone: each cell of M is the XOR of its
-    entries' products.  S is sparse, so this takes far fewer products than
-    the dense k x r^2 one (864 against 61,440 at (n, r, k) = (32, 16, 240));
-    the result does not depend on that, only the speed does."""
+    """M = sum_l msg[..., l] S_l for int64 messages of field elements, with
+    any leading batch axes, from the nonzero entries of S alone: each cell
+    of M is the XOR of its entries' products.  S is sparse, so this takes
+    far fewer products than the dense k x r^2 one (864 against 61,440 per
+    message at (n, r, k) = (32, 16, 240)); the result does not depend on
+    that, only the speed does.  The products are laid out entries first,
+    with the batch axes reversed after them, so the XOR runs along the
+    first axis and a single message pays nearly nothing for the batch
+    axes."""
     rows, log_vals, cell_ids, starts = code._s_terms
     exp, log = code.ctx._tables()
-    m = np.zeros(code.r * code.r, dtype=np.int64)
-    m[cell_ids] = np.bitwise_xor.reduceat(exp[log[msg][rows] + log_vals], starts)
-    return m.reshape(code.r, code.r)
+    batch = msg.shape[:-1]
+    terms = exp[log[msg.T[rows]] + log_vals.reshape((-1,) + (1,) * len(batch))]
+    m = np.zeros((code.r * code.r,) + batch[::-1], dtype=np.int64)
+    m[cell_ids] = np.bitwise_xor.reduceat(terms, starts)
+    return m.T.reshape(batch + (code.r, code.r))
 
 
 def in_code(code: CodeInstance, grid: np.ndarray) -> bool:
@@ -306,7 +304,10 @@ def _line_predictions(
 ) -> np.ndarray:
     """Values at the points ``others[l]`` of the degree < r polynomial that
     takes the values ``values[l]`` at the points ``anchors[l]``; each line's
-    r anchors and n - r others are its n points split in two.
+    r anchors and n - r others are its n points split in two.  ``ld`` is
+    the _log_differences table of the n points, or a larger table with it
+    as the first diagonal block and zeros beside it (see
+    CodeInstance._ld_blocks).
 
     Second barycentric form: with l(x) = prod_{u in U} (x + u) over the
     anchors U, s_j = sum_{u in U} ld[u, j] = log l(x_j) and
@@ -314,8 +315,9 @@ def _line_predictions(
     exp(s_j) * XOR_u exp(log c_u - ld[u, j]) with log c_u = log v_u - s_u.
     One gather of ld[u, j] on (lines, r, n - r) gives both sums: s_j over
     u, and s_u as the row sum of ld over all n points less the others'
-    terms (ld has a zero diagonal).  The sums are reduced mod q - 1 on
-    their small arrays and no modulo touches the big array: the exponent
+    terms (ld has a zero diagonal, and zeros beside the first block).  The
+    sums are reduced mod q - 1 on their small arrays and no modulo touches
+    the big array: the exponent
     log v_u - (s_u mod (q - 1)) + 2(q - 1) - ld[u, j] lies in (0, 3(q - 1)),
     the exp table's three periods of powers (see FieldCtx._tables), for a
     nonzero anchor value, and for a zero one, whose log is 3(q - 1), in
@@ -324,7 +326,7 @@ def _line_predictions(
     (lines, r, n - r) arrays."""
     exp, log = ctx._tables()
     period = ctx.order - 1
-    n = len(ld)
+    stride = len(ld)
     r = anchors.shape[1]
     flat = ld.reshape(-1)
     totals = ld.sum(axis=1)
@@ -333,7 +335,7 @@ def _line_predictions(
     for lo in range(0, len(values), step):
         blk = slice(lo, lo + step)
         anc = anchors[blk]
-        d = flat[(anc * n)[:, :, None] + others[blk][:, None, :]]
+        d = flat[(anc * stride)[:, :, None] + others[blk][:, None, :]]
         # einsum sums these short axes about twice as fast as ndarray.sum
         s_anchors = totals[anc] - np.einsum("luj->lu", d)
         log_c = log[values[blk]] + 2 * period - s_anchors % period

@@ -225,8 +225,3 @@ def ref_basis(pair: LinearizedPair, r: int) -> list[np.ndarray]:
     rows = _echelon(pair, r)
     # trimmed copies: a polynomial must not keep the echelon matrix alive
     return [poly_trim(row[-r * r - 1 :: -1]).copy() for row in rows]
-
-
-def ref_degree_oracle(pair: LinearizedPair, r: int) -> tuple[int, ...]:
-    """Pivot degrees of the row-echelon reduction, ascending."""
-    return tuple(len(p) - 1 for p in ref_basis(pair, r))

@@ -10,14 +10,14 @@ generator.
 
 Univariate polynomials over the field are numpy int64 arrays of
 coefficients, lowest degree first, with no trailing zeros (the zero
-polynomial is the empty array).  Bivariate polynomials are dense 2-D
-arrays indexed by (x-degree, y-degree).
+polynomial is the empty array).  Only the univariate echelon reference
+(degrees.ref_basis) and the tests build them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def smallest_irreducible(m: int) -> int:
 class FieldCtx:
     """The field GF(2^M) with a fixed reduction polynomial.
 
-    Immutable after construction and safe to share across workers; all
-    operations are pure functions of their inputs.
+    Immutable after construction; all operations are pure functions of
+    their inputs.
     """
 
     def __init__(self, m: int, reduction_poly: Optional[int] = None) -> None:
@@ -261,30 +261,12 @@ class FieldCtx:
 ZERO_POLY = np.zeros(0, dtype=np.int64)
 
 
-def poly(coeffs: Iterable[int]) -> np.ndarray:
-    return poly_trim(np.array(list(coeffs), dtype=np.int64))
-
-
 def poly_trim(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.int64)
     nz = np.nonzero(c)[0]
     if len(nz) == 0:
         return ZERO_POLY.copy()
     return c[: nz[-1] + 1]
-
-
-def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] ^= b
-    return poly_trim(out)
-
-
-def poly_scale(ctx: FieldCtx, p: np.ndarray, s: int) -> np.ndarray:
-    if s == 0 or len(p) == 0:
-        return ZERO_POLY.copy()
-    return ctx.mul_arr(p, s)
 
 
 def poly_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,17 +280,17 @@ def poly_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# poly_eval_many, poly_divmod and poly_from_roots have no caller in the
+# package: the tests' references use them, and the benchmark's traced run
+# (bench/run.py --trace 1) reports spans under their names.
+
+
 def poly_eval_many(ctx: FieldCtx, p: np.ndarray, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     acc = np.zeros_like(xs)
     for c in p[::-1]:
         acc = ctx.mul_arr(acc, xs) ^ int(c)
     return acc
-
-
-# poly_divmod and poly_from_roots have no caller in the package: the tests'
-# interpolation reference uses them, and the benchmark's traced run
-# (bench/run.py --trace 1) reports spans under their names.
 
 
 def poly_divmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,32 +315,6 @@ def poly_from_roots(ctx: FieldCtx, roots: Sequence[int]) -> np.ndarray:
     for rho in roots:
         p = poly_mul(ctx, p, np.array([rho, 1], dtype=np.int64))
     return p
-
-
-# ---------------------------------------------------------------------------
-# Bivariate polynomials: dense (x-degree, y-degree) coefficient matrices.
-# ---------------------------------------------------------------------------
-
-
-def poly_compose(ctx: FieldCtx, outer: np.ndarray, gx: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """Expand outer(g(x), f(x)) into a univariate polynomial.
-
-    ``outer[i, j]`` is the coefficient of x^i y^j; x is substituted by
-    ``gx`` and y by ``fx``.
-    """
-    outer = np.asarray(outer, dtype=np.int64)
-    r1, r2 = outer.shape
-    f_pows = [np.ones(1, dtype=np.int64)]
-    for _ in range(r2 - 1):
-        f_pows.append(poly_mul(ctx, f_pows[-1], fx))
-    acc = ZERO_POLY.copy()
-    for i in range(r1 - 1, -1, -1):
-        inner = ZERO_POLY.copy()
-        for j in range(r2):
-            if outer[i, j]:
-                inner = poly_add(inner, poly_scale(ctx, f_pows[j], int(outer[i, j])))
-        acc = poly_add(poly_mul(ctx, acc, gx), inner)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Reference implementations that the tests hold the package to: Horner
-evaluation, formal derivatives, Lagrange interpolation, the Horner-built
-generator and the univariate double-root check for the tensor-form code, the
-paper's explicit basis of the product span, the full 2-D scan for the grid
-bound, the enumeration of a whole span for the one-slice spectra, the
-MacWilliams identity term by term, and the parity checks by elimination of
-the generator with the parity-check solve of an erasure core.
+evaluation, formal derivatives, the composition s(g(x), f(x)) into a
+univariate polynomial, Lagrange interpolation, the Horner-built generator
+and the univariate double-root check for the tensor-form code, the paper's
+explicit basis of the product span, the full 2-D scan for the grid bound,
+the enumeration of a whole span for the one-slice spectra, the sampled
+estimate through G, the MacWilliams identity term by term, and the parity
+checks by elimination of the generator with the parity-check solve of an
+erasure core.
 
 Polynomials are int64 coefficient arrays, lowest degree first, as in
 ``rsprod.field``.  Everything here is slow and written for clarity.
@@ -26,13 +28,51 @@ from rsprod.field import (
     mat_mul,
     mat_nullspace,
     mat_solve,
-    poly_add,
     poly_divmod,
     poly_eval_many,
     poly_from_roots,
-    poly_scale,
+    poly_mul,
     poly_trim,
 )
+
+
+def poly(coeffs: Sequence[int]) -> np.ndarray:
+    return poly_trim(np.array(list(coeffs), dtype=np.int64))
+
+
+def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] ^= b
+    return poly_trim(out)
+
+
+def poly_scale(ctx: FieldCtx, p: np.ndarray, s: int) -> np.ndarray:
+    if s == 0 or len(p) == 0:
+        return ZERO_POLY.copy()
+    return ctx.mul_arr(p, s)
+
+
+def poly_compose(ctx: FieldCtx, outer: np.ndarray, gx: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """Expand outer(g(x), f(x)) into a univariate polynomial.
+
+    ``outer[i, j]`` is the coefficient of x^i y^j; x is substituted by
+    ``gx`` and y by ``fx``.
+    """
+    outer = np.asarray(outer, dtype=np.int64)
+    r1, r2 = outer.shape
+    f_pows = [np.ones(1, dtype=np.int64)]
+    for _ in range(r2 - 1):
+        f_pows.append(poly_mul(ctx, f_pows[-1], fx))
+    acc = ZERO_POLY.copy()
+    for i in range(r1 - 1, -1, -1):
+        inner = ZERO_POLY.copy()
+        for j in range(r2):
+            if outer[i, j]:
+                inner = poly_add(inner, poly_scale(ctx, f_pows[j], int(outer[i, j])))
+        acc = poly_add(poly_mul(ctx, acc, gx), inner)
+    return acc
 
 
 def poly_eval(ctx: FieldCtx, p: np.ndarray, x: int) -> int:
@@ -177,6 +217,24 @@ def full_spectrum(ctx: FieldCtx, rows) -> dict[int, int]:
         words = mat_mul(ctx, index[:, None] // places % q, rows)
         counts += np.bincount(np.count_nonzero(words, axis=1), minlength=len(counts))
     return {w: int(c) for w, c in enumerate(counts) if c}
+
+
+def sampled_distance(code, trials: int, seed: int = 0) -> int:
+    """The sampled upper estimate as m . G: the same batches of 2^14 random
+    messages, zero messages dropped, each batch multiplied by the whole
+    generator."""
+    rng = np.random.default_rng(seed)
+    best = code.length
+    done = 0
+    while done < trials:
+        batch = min(trials - done, 1 << 14)
+        msgs = rng.integers(0, code.ctx.order, size=(batch, code.k), dtype=np.int64)
+        msgs = msgs[np.any(msgs != 0, axis=1)]
+        if len(msgs):
+            words = mat_mul(code.ctx, msgs, code.G)
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        done += len(msgs)
+    return best
 
 
 def macwilliams_transform(counts: dict[int, int], n: int, q: int) -> dict[int, int]:

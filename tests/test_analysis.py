@@ -214,6 +214,34 @@ def test_sampled_distance(pair_q4):
         sampled_distance(code, 0)
 
 
+@pytest.mark.parametrize(
+    "e,r,k,trials", [(1, 2, 3, 20_000), (2, 3, 7, 3000), (4, 12, 132, 3000), (5, 16, 240, 1500)]
+)
+def test_sampled_distance_matches_generator_product(e, r, k, trials):
+    # the words of the tensor form are m . G, so the estimate is the one of
+    # the generator product on the same draws, and G is never built
+    code = build_code(instantiate_standard(e), r, k)
+    got = sampled_distance(code, trials, seed=5)
+    assert "G" not in code.__dict__
+    assert got == reference.sampled_distance(code, trials, seed=5)
+
+
+def test_sampled_distance_slices_stay_under_the_cap(monkeypatch):
+    code = build_code(instantiate_standard(5), 16, 240)
+    cap = analysis._BLOCK_ELEMS
+    real = analysis._grid_values
+    seen = []
+
+    def grid_values(code, s):
+        seen.append(s.shape[0])
+        return real(code, s)
+
+    monkeypatch.setattr(analysis, "_grid_values", grid_values)
+    sampled_distance(code, 500, seed=0)
+    assert sum(seen) == 500 and len(seen) > 1
+    assert max(seen) * code.length <= cap
+
+
 def test_second_weight_of_full_product_q4_r2(pair_q4):
     code = build_code(pair_q4, 2, 4)
     _, spectrum = exhaustive_distance(code)
@@ -1222,7 +1250,9 @@ def test_double_root_vacuous_and_tensor(pair_q4):
 
 def test_double_root_on_forced_zero_lines(pair_q4):
     # s(x, y) = (x - beta0)(y - gamma0) zeroes one row and one column
-    from rsprod.field import mat_solve, poly_compose, poly_eval_many
+    from rsprod.field import mat_solve, poly_eval_many
+
+    from reference import poly_compose
 
     code = build_code(pair_q4, 2, 4)
     ctx = code.ctx

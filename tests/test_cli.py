@@ -13,6 +13,7 @@ from rsprod.cli import main
 from rsprod.degrees import degree_profile
 from rsprod.verify import check_field_axioms
 from rsprod.field import FieldCtx
+from rsprod.linearized import LinearizedPoly
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,18 @@ def test_distance_sampled_fallback(capsys):
     payload = json.loads(out)
     assert payload["method"] == "sampled"
     assert payload["conclusive"] is False
+    assert payload["upper_estimate"] >= payload["lower_bound"]
+
+
+def test_distance_samples_when_the_budget_sizes_have_thousands_of_digits(capsys):
+    # |F|^(n^2 - k) = 4096^3096 has over 11,000 digits, past what str()
+    # of an int allows, so the budget messages give it as a power
+    code, out, _ = run_cli(
+        capsys, "distance", "--q-log", "6", "--r", "32", "--k", "1000", "--trials", "64"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "sampled" and payload["n"] == 64
     assert payload["upper_estimate"] >= payload["lower_bound"]
 
 
@@ -450,12 +463,29 @@ def test_verify_distance_cases_have_a_closed_form(case):
     assert bounds.exact_distance(1 << e, r, k) is not None
 
 
+def _flip_last(out):
+    """A copy of an array with its last entry changed."""
+    out = out.copy()
+    out.flat[-1] ^= 1
+    return out
+
+
+def _diagram_check():
+    return verify._check_diagram((1,), np.random.default_rng(0), per_r=1)
+
+
 # (check, module and function to corrupt, corruption of its return value)
 VERIFY_FAULTS = [
-    pytest.param(lambda: verify._check_degree_oracle((1,)), verify, "ref_degree_oracle",
-                 lambda out: out[:-1] + (-1,), id="degree-oracle"),
-    pytest.param(lambda: verify._check_diagram((1,), np.random.default_rng(0), per_r=1),
-                 codec, "_grid_values", lambda out: out ^ 1, id="diagram"),
+    pytest.param(lambda: verify._check_degree_oracle((1,)), verify, "ref_basis",
+                 lambda out: out[:-1], id="degree-oracle"),
+    pytest.param(_diagram_check, codec, "_grid_values", lambda out: out ^ 1, id="diagram"),
+    # a GF(2)-linear bijection of the values: the root spaces, and so the
+    # pair, stay as they are, while g and f are wrong at the points
+    pytest.param(_diagram_check, LinearizedPoly, "eval", lambda out: out ^ (out >> 1),
+                 id="diagram-eval"),
+    # codec._powers takes its powers from pow_arr as well, so a fault that
+    # changes every power alike passes both sides; one wrong entry does not
+    pytest.param(_diagram_check, FieldCtx, "pow_arr", _flip_last, id="diagram-pow"),
     pytest.param(_peel_check(20), analysis, "erasure_recoverable", lambda out: not out,
                  id="peel-verdict"),
     pytest.param(_peel_check(20), analysis, "peel_decode",

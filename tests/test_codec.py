@@ -32,13 +32,18 @@ from rsprod.field import (
     mat_nullspace,
     mat_rank,
     mat_solve,
-    poly_compose,
     poly_eval_many,
 )
 from rsprod.linearized import instantiate_standard
 from rsprod.verify import _check_diagram
 
-from reference import horner_generator, interpolate, reference_H, univariate_double_root_check
+from reference import (
+    horner_generator,
+    interpolate,
+    poly_compose,
+    reference_H,
+    univariate_double_root_check,
+)
 from strategies import draw_code, pairs, standard_codes
 
 
@@ -259,7 +264,7 @@ def test_local_membership_edge_cases(pair_q4):
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_diagram_commutes(e):
-    # composed univariate evaluation equals direct bivariate evaluation,
+    # the pointwise sum of s[a, b] g^a f^b equals the bivariate grid,
     # exhaustively over the grid
     res = _check_diagram((e,), np.random.default_rng(40 + e), per_r=20)
     assert res.ok, res.detail
@@ -333,6 +338,22 @@ def test_line_predictions_match_interpolation(e, data):
     for line, anc, rest, got in zip(lines, anchors, others, pred):
         coeffs = interpolate(ctx, [int(pts[i]) for i in anc], line[anc])
         assert np.array_equal(got, poly_eval_many(ctx, coeffs, pts[rest]))
+
+
+@pytest.mark.parametrize("e,r,k", [(2, 3, 7), (3, 8, 40), (4, 12, 132), (5, 16, 240)])
+def test_line_predictions_on_block_tables(e, r, k):
+    # the (2n, 2n) tables of the erasure solve give line repair the
+    # predictions of the lines' own (n, n) table: rows on Zg, columns on Zf
+    code = build_code(instantiate_standard(e), r, k)
+    ctx, n = code.ctx, code.n_frak
+    rng = np.random.default_rng(e)
+    values = rng.integers(0, ctx.order, size=(n, r))
+    values[0] = 0  # a zero line, whose logarithms are the sentinel
+    order = np.argsort(rng.random((n, n)), axis=1)
+    anchors, others = np.sort(order[:, :r], axis=1), np.sort(order[:, r:], axis=1)
+    for table, points in zip(code._ld_blocks, (code.pair.Zg, code.pair.Zf)):
+        want = _line_predictions(ctx, _log_differences(ctx, points), values, anchors, others)
+        assert np.array_equal(_line_predictions(ctx, table, values, anchors, others), want)
 
 
 def reference_membership(pair, r, grid):

@@ -19,16 +19,13 @@ from rsprod.field import (
     mat_rank,
     mat_rref,
     mat_solve,
-    poly,
-    poly_add,
-    poly_compose,
     poly_divmod,
     poly_eval_many,
     poly_from_roots,
     poly_mul,
 )
 
-from reference import build_tables, poly_deriv, poly_eval, row_reduce
+from reference import build_tables, poly, poly_add, poly_compose, poly_deriv, poly_eval, row_reduce
 
 
 def gf2_mul(a, b):

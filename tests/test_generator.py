@@ -15,10 +15,10 @@ from rsprod.analysis import _derivative_grid
 from rsprod.cli import main
 from rsprod.codec import build_code, encode, export_generator_csv
 from rsprod.degrees import ref_basis
-from rsprod.field import poly_compose, poly_eval_many
+from rsprod.field import poly_eval_many
 from rsprod.linearized import instantiate_standard
 
-from reference import encoded_poly, horner_generator, poly_deriv
+from reference import encoded_poly, horner_generator, poly_compose, poly_deriv
 from strategies import draw_code, pairs
 
 # SHA-256 of export_generator_csv for the standard pair, recorded with G built
