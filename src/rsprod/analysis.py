@@ -45,7 +45,6 @@ from .codec import (
 from .field import _BLOCK_ELEMS, FieldCtx, mat_mul, mat_rank, mat_solve
 
 DEFAULT_BUDGET = 1 << 28
-_BLOCK_DIGITS_LIMIT = 1 << 16
 
 
 class BudgetExceeded(ValueError):
@@ -151,7 +150,7 @@ def _spectrum_over(
     span = _pack(base.reshape(1, -1), packing).T
     n_block = 0
     while n_block < len(tables) and (
-        n_block == 0 or span.size * len(tables[n_block]) <= _BLOCK_DIGITS_LIMIT
+        n_block == 0 or span.size * len(tables[n_block]) <= _BLOCK_ELEMS
     ):
         t = tables[n_block]
         span = (span[:, :, None] ^ t.T[:, None, :]).reshape(words, -1)
@@ -488,7 +487,6 @@ def _solve_lines(
     is written back on the core's cells alone, and codec.in_code still
     sees every received symbol."""
     ctx, n, r = code.ctx, code.n_frak, code.r
-    exp, log = ctx._tables()
     order = np.argsort(erasures, kind="stable")
     info, rest = order[:r], order[r:]
     # anchors: the known cells, then the erased ones, r in all; those past
@@ -509,21 +507,17 @@ def _solve_lines(
     eq = ~core[rest]
     eq_rows, eq_cells = np.nonzero(eq)
     on_rows = ctx.mul_arr(lam[at[:, None], rest[eq_rows]], basis[:, eq_cells]).T
-    # Phi_R: Lambda is the identity on R's own rows, so a corner row in R
-    # brings its own row of Phi_C and only the corner rows outside R are
-    # mixed in, in blocks of checks that keep each gather near
-    # _BLOCK_ELEMS entries; Lambda's entries on R are not meaningful (see
-    # _anchor_bases) and are not read here
-    lphi = code._corner_logs[side]
+    # Phi_C and Phi_R as (row, position, check), their products all taken
+    # through mat_mul as in_code takes them: Lambda is the identity on R's
+    # own rows, so a corner row in R brings its own rows of Phi_C and only
+    # the corner rows outside R are mixed in; Lambda's entries on R are
+    # not meaningful (see _anchor_bases) and are not read here
+    phi = code.checks[2].reshape(-1, r, r).transpose((1, 2, 0) if side == 0 else (2, 1, 0))
+    phi_r = np.zeros((r, r, phi.shape[2]), dtype=np.int64)
+    phi_r[info < r] = phi[info[info < r]]
     mixed = rest[rest < r]
-    mix = log[lam[:, mixed]][:, :, None, None]
-    phi_r = exp[lphi[info]]
-    step = max(1, _BLOCK_ELEMS // max(1, r * mix.size))
-    for p in range(0, phi_r.shape[2], step):
-        phi_r[..., p : p + step] ^= np.bitwise_xor.reduce(
-            exp[mix + lphi[mixed, :, p : p + step]], axis=1
-        )
-    on_corner = np.bitwise_xor.reduce(ctx.mul_arr(phi_r[at], basis[:, :r, None]), axis=1).T
+    phi_r ^= mat_mul(ctx, lam[:, mixed], phi.reshape(r, -1)[mixed]).reshape(phi_r.shape)
+    on_corner = mat_mul(ctx, basis[:, None, :r], phi_r[at])[:, 0].T
     coef = np.concatenate([on_rows, on_corner])
     if grid is None:
         return ("unique" if mat_rank(ctx, coef) == len(basis) else "multiple"), None
@@ -535,7 +529,7 @@ def _solve_lines(
     known = mat_mul(ctx, lam.T, mat_mul(ctx, values[:, None], bases)[:, 0])
     rhs = np.concatenate([
         (grid[rest] ^ known[rest])[eq],
-        np.bitwise_xor.reduce(exp[lphi[:r] + log[known[:r, :r, None]]], axis=(0, 1)),
+        mat_mul(ctx, known[:r, :r].reshape(1, -1), phi.reshape(r * r, -1))[0],
     ])
     status, x = mat_solve(ctx, coef, rhs)
     if status == "inconsistent":

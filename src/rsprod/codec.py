@@ -30,9 +30,9 @@ class CodeInstance:
     S[l] is the r x r coefficient matrix of basis polynomial l in the
     products g^a f^b (see build_code).  Everything else is derived from S
     and the pair on first use and kept: the k x n^2 generator G, the
-    checks (P, Q, Phi_C) that in_code and the parity checks H read, Phi_C's
-    logarithms for the line-side erasure solve, and the log-difference
-    tables that line repair and that solve share."""
+    checks (P, Q, Phi_C) that in_code, the parity checks H and the
+    line-side erasure solve read, and the log-difference tables that line
+    repair and that solve share."""
 
     pair: LinearizedPair
     r: int
@@ -80,8 +80,8 @@ class CodeInstance:
     @functools.cached_property
     def checks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(P, Q, Phi_C): the checks of C_k that in_code and H read, and
-        whose Phi_C the line-side erasure solve reads through _corner_logs.
-        Built on first use and kept.
+        whose Phi_C the line-side erasure solve multiplies through mat_mul
+        as they do; Phi_C has no other form.  Built on first use and kept.
 
         A grid A^T . M . B (see build_code) has the corner
         C = A_r^T . M . B_r, with A_r, B_r the first r columns of A and B,
@@ -124,23 +124,6 @@ class CodeInstance:
             table[:n, :n], table[n:, n:] = own, across
             out.append(table)
         return tuple(out)
-
-    @functools.cached_property
-    def _corner_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns): log Phi_C on the tables' zero sentinel (see
-        FieldCtx._tables), laid out for the erasure solve on grid rows and
-        on grid columns as (n, r, checks) arrays.  Entry [i, c, p] of the
-        first and [c, i, p] of the second is check p's coefficient on
-        corner cell (i, c), the line first and the position along it next;
-        the lines from r on hold log 0.  Built on first use and kept."""
-        n, r = self.n_frak, self.r
-        _, log = self.ctx._tables()
-        phi = log[self.checks[2].reshape(-1, r, r)]
-        pad = ((0, n - r), (0, 0), (0, 0))
-        return tuple(
-            np.pad(phi.transpose(axes), pad, constant_values=log[0])
-            for axes in ((1, 2, 0), (2, 1, 0))
-        )
 
     @functools.cached_property
     def _powers(self) -> tuple[np.ndarray, np.ndarray]:

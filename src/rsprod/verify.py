@@ -80,18 +80,23 @@ def _check_degree_oracle(e_values) -> CheckResult:
 def _check_diagram(e_values, rng, per_r: int) -> CheckResult:
     """codec._grid_values, the grid evaluation behind G and encode, against
     s(g(x), f(x)) = sum_{a,b} s[a, b] g(x)^a f(x)^b summed at every point,
-    for random s; g and f are evaluated once per pair."""
+    for random s; g and f are evaluated once per pair, and their powers
+    taken by mul_arr alone."""
     for e in e_values:
         pair = instantiate_standard(e)
         ctx = pair.ctx
         n = pair.n_frak
-        gx = np.array([pair.g.eval(x) for x in pair.eval_points], dtype=np.int64)
-        fx = np.array([pair.f.eval(x) for x in pair.eval_points], dtype=np.int64)
+        gf = np.array([[p.eval(x) for x in pair.eval_points] for p in (pair.g, pair.f)])
+        # powers[:, a] holds g^a and f^a at every point, by repeated
+        # products from ones: codec._powers takes its powers from pow_arr,
+        # and a fault there must not move both sides alike
+        powers = np.ones((2, n, len(pair.eval_points)), dtype=np.int64)
+        for a in range(1, n):
+            powers[:, a] = ctx.mul_arr(powers[:, a - 1], gf)
         for r in range(1, n + 1):
             code = codec.build_code(pair, r, 1)
-            expo = np.arange(r)[:, None]
             # terms[a, b] holds g^a f^b at every point
-            terms = ctx.mul_arr(ctx.pow_arr(gx, expo)[:, None], ctx.pow_arr(fx, expo))
+            terms = ctx.mul_arr(powers[0, :r, None], powers[1, :r])
             for _ in range(per_r):
                 s = rng.integers(0, ctx.order, size=(r, r))
                 left = codec._grid_values(code, s).reshape(-1)

@@ -194,8 +194,8 @@ def test_value_shares_sum_to_the_whole_span(m, length, nrows, monkeypatch):
     base = rng.integers(0, ctx.order, size=length)
     want = brute_histogram(ctx, rows, length, base)
     shares = np.array_split(rng.permutation(ctx.order), 3)
-    for limit in (analysis._BLOCK_DIGITS_LIMIT, 1):
-        monkeypatch.setattr(analysis, "_BLOCK_DIGITS_LIMIT", limit)
+    for limit in (analysis._BLOCK_ELEMS, 1):
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMS", limit)
         whole = _spectrum_over(ctx, rows, length, base)
         assert np.array_equal(whole, want)
         parts = [_spectrum_over(ctx, rows, length, base, share) for share in shares]
@@ -522,6 +522,21 @@ def test_block_margin_pattern_consistent_with_distance(pair_q4):
     cols = [0, 2, 3]
     er[np.ix_(rows, cols)] = True
     assert not erasure_recoverable(code, ErasureMask(4, er))
+
+
+@pytest.mark.parametrize("e,r,k,a,b", [(4, 12, 132, 3, 4), (5, 16, 200, 7, 8)])
+def test_corner_checks_decide_the_block_margin_verdict(e, r, k, a, b):
+    # the mask's core carries a * b = r^2 - k dimensions of product-code
+    # words, and only the corner checks Phi_C = checks[2] rule them out in
+    # C_k; with them zeroed the verdict must turn, so no second copy of
+    # Phi_C can stand in for checks[2]
+    assert a * b == r * r - k
+    mask = block_margin_mask(2 ** e, r, a, b)
+    assert erasure_recoverable(build_code(instantiate_standard(e), r, k), mask)
+    code = build_code(instantiate_standard(e), r, k)
+    p, q, phi_c = code.checks
+    code.__dict__["checks"] = (p, q, np.zeros_like(phi_c))
+    assert not erasure_recoverable(code, mask)
 
 
 def test_strip_margin_mask_geometry():

@@ -259,6 +259,11 @@ ERASURE_SIM_GOLDENS = [
     pytest.param("--q-log 4 --r 12 --k 132 --model fig1 --a 1 --b 1", 1,
                  "ef882dde6e7848edc1011fbabe802e9a13748ddb0a55fc0bf61a0fe889390d85",
                  id="fig1-a1b1"),
+    # a * b = r^2 - k: the core's product-code words are ruled out by the
+    # corner checks Phi_C alone
+    pytest.param("--q-log 4 --r 12 --k 132 --model fig1 --a 3 --b 4", 1,
+                 "4f4ac582ebec716e4be97443ad8d9ace791e3b1a974ee74c0fc323f3ebea163f",
+                 id="fig1-a3b4"),
     pytest.param("--q-log 4 --r 12 --k 132 --model fig2 --a 5 --b 6", 0,
                  "f599ad52e8ac09a6510b6aeb34c1fdef89af4da5a475fa184593751858983595",
                  id="fig2-a5b6"),
@@ -483,9 +488,12 @@ VERIFY_FAULTS = [
     # pair, stay as they are, while g and f are wrong at the points
     pytest.param(_diagram_check, LinearizedPoly, "eval", lambda out: out ^ (out >> 1),
                  id="diagram-eval"),
-    # codec._powers takes its powers from pow_arr as well, so a fault that
-    # changes every power alike passes both sides; one wrong entry does not
+    # codec._powers takes its powers from pow_arr and the check takes its
+    # own by repeated mul_arr products, so one wrong entry and a fault that
+    # changes every power alike both fail
     pytest.param(_diagram_check, FieldCtx, "pow_arr", _flip_last, id="diagram-pow"),
+    pytest.param(_diagram_check, FieldCtx, "pow_arr", lambda out: out ^ 1,
+                 id="diagram-pow-uniform"),
     pytest.param(_peel_check(20), analysis, "erasure_recoverable", lambda out: not out,
                  id="peel-verdict"),
     pytest.param(_peel_check(20), analysis, "peel_decode",
