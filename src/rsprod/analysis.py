@@ -397,18 +397,30 @@ def _peel_core(erased: np.ndarray, r: int) -> np.ndarray:
     """The peeling core E' of a bool erasure grid: every row and column
     with at least r surviving cells is cleared, repeatedly, until every
     line that still has an erasure has fewer than r survivors.  Uses the
-    mask alone; the fixed point does not depend on the clearing order."""
-    core = erased.copy()
-    n = core.shape[0]
+    mask alone; the fixed point does not depend on the clearing order.
+
+    Passes alternate between the rows and the columns, rows first, and
+    each reads only its own side's erasure counts e and clears every line
+    with 0 < e <= n - r.  A pass in which every line has e <= n - r clears
+    the whole grid, so the empty core comes back at once: a sparse mask
+    takes one row count.  Otherwise the peeling stops at a pass that
+    clears nothing after the other side's pass, as the lines that side
+    left are all still over n - r.  The core is always a new array, never
+    ``erased`` itself; ``erased`` is copied only once the first row count
+    has not emptied it, and never for an empty core."""
+    n = erased.shape[0]
+    core = lines = erased
     while True:
-        rows = core.sum(axis=1)
-        cols = core.sum(axis=0)
-        fix_rows = (rows > 0) & (n - rows >= r)
-        fix_cols = (cols > 0) & (n - cols >= r)
-        if not (fix_rows.any() or fix_cols.any()):
+        counts = lines.sum(axis=1)
+        if counts.max() <= n - r:
+            return np.zeros(erased.shape, dtype=bool)
+        fix = (counts > 0) & (counts <= n - r)
+        if core is erased:
+            core = lines = erased.copy()
+        elif not fix.any():
             return core
-        core[fix_rows] = False
-        core[:, fix_cols] = False
+        lines[fix] = False
+        lines = lines.T
 
 
 def _solve_core(
@@ -547,7 +559,9 @@ def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
     Such a codeword is zero on every grid line with at least r survivors,
     since each line is a Reed-Solomon word of dimension r, so it lies inside
     the peeling core E' of the mask alone; hence E is recoverable iff E' is.
-    E' empty is recoverable and |E'| > n^2 - k is not; otherwise one rank
+    E' empty is recoverable, which a mask whose rows all have at most
+    n - r erasures learns from one row count (see _peel_core), before any
+    cell of E' is counted; |E'| > n^2 - k is not; otherwise one rank
     decides (see _solve_core).  With N = |E'| - (n - r) rho free row cells
     for the rho rows the core touches, it is taken on G[:, ~E'] when
     N >= k, and otherwise on the free cells of r information lines, rows
@@ -559,10 +573,9 @@ def erasure_recoverable(code: CodeInstance, mask: ErasureMask) -> bool:
     if mask.n_frak != code.n_frak:
         raise ValueError("mask size does not match the code")
     core = _peel_core(mask.erased, code.r)
-    size = int(core.sum())
-    if size == 0:
+    if not core.any():
         return True
-    if size > code.length - code.k:
+    if int(core.sum()) > code.length - code.k:
         return False
     return _solve_core(code, core)[0] == "unique"
 

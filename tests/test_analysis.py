@@ -1204,20 +1204,86 @@ def test_line_systems_of_the_stopping_sets():
         assert free_row_cells(_peel_core(mask.erased, code.r), code.r) == free
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.sampled_from([4, 8, 16]), data=st.data())
+def assert_peel_core(erased, r, expect=None):
+    """_peel_core against sequential_core in both orders (and ``expect``,
+    if given), on a new array that leaves ``erased`` as it was."""
+    before = erased.copy()
+    core = _peel_core(erased, r)
+    assert np.array_equal(erased, before)
+    assert not np.shares_memory(core, erased)
+    assert core.dtype == bool
+    assert np.array_equal(sequential_core(erased, r, rows_first=True), core)
+    assert np.array_equal(sequential_core(erased, r, rows_first=False), core)
+    if expect is not None:
+        assert np.array_equal(core, expect)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.sampled_from([4, 8, 16, 32]), data=st.data())
 def test_peel_core_is_order_independent(n, data):
     r = data.draw(st.integers(1, n))
-    mask = data.draw(block_noise_masks(n))
-    core = _peel_core(mask.erased, r)
-    assert np.array_equal(sequential_core(mask.erased, r, rows_first=True), core)
-    assert np.array_equal(sequential_core(mask.erased, r, rows_first=False), core)
+    mask = data.draw(block_noise_masks(n) | uniform_masks(n))
+    assert_peel_core(mask.erased, r)
+
+
+def test_peel_core_on_explicit_masks():
+    n, r = 8, 5
+    empty = np.zeros((n, n), dtype=bool)
+    full = np.ones((n, n), dtype=bool)
+    # every row has at most n - r = 3 erasures, though column 0 has 8
+    rows_peel = empty.copy()
+    rows_peel[:, 0] = True
+    rows_peel[[1, 4], 2:4] = True
+    # row 0 is full, so the row pass clears only row 3; every column
+    # then has at most 3 erasures
+    cols_peel = empty.copy()
+    cols_peel[0] = True
+    cols_peel[3, :2] = True
+    # a 4 x 4 block and half of row 6: the row pass clears nothing, the
+    # column pass clears the 4 columns that only row 6 touches, and then
+    # nothing peels
+    block = empty.copy()
+    block[:4, :4] = True
+    block[6, 4:] = True
+    for erased, expect in [
+        (empty, empty),
+        (rows_peel, empty),
+        (cols_peel, empty),
+        (block, np.pad(full[:4, :4], (0, n - 4))),
+        (full, full),
+    ]:
+        assert_peel_core(erased, r, expect)
+    # r = n: a line with one erasure has fewer than r survivors
+    for erased in (empty, rows_peel, cols_peel, block, full):
+        assert_peel_core(erased, n, erased)
 
 
 def test_peel_core_of_block_margin_is_black_block():
     black = np.zeros((4, 4), dtype=bool)
     black[np.ix_([0, 2, 3], [0, 2, 3])] = True
     assert np.array_equal(_peel_core(block_margin_mask(4, 2, 1, 1).erased, 2), black)
+
+
+@pytest.mark.parametrize("e,r,k,sets", [(2, 2, 3, 20), (2, 3, 5, 288), (2, 3, 8, 96)])
+def test_unrecoverable_d_sets_match_the_spectrum(e, r, k, sets):
+    # d erased cells are unrecoverable iff they are the support of a weight-d
+    # codeword, and the weight-d words on one support are the |F| - 1
+    # multiples of one word, as two independent ones would combine to a
+    # lighter word; so A_d / (|F| - 1) of the C(n^2, d) d-cell masks are
+    # unrecoverable
+    code = cached_code(e, r, k)
+    d, spectrum = exhaustive_distance(code, budget=1 << 32)
+    n = code.n_frak
+    bad = []
+    for cells in itertools.combinations(range(n * n), d):
+        flat = np.zeros(n * n, dtype=bool)
+        flat[list(cells)] = True
+        mask = ErasureMask.from_flat(n, flat)
+        if not erasure_recoverable(code, mask):
+            bad.append(mask)
+    assert len(bad) * (code.ctx.order - 1) == spectrum.counts[d]
+    assert len(bad) == sets
+    assert not any(_rank_recoverable(code, mask) for mask in bad)
 
 
 @pytest.mark.parametrize("e,r,k,side", [(3, 5, 20, 4), (3, 5, 20, 5), (4, 12, 132, 5),
